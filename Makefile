@@ -108,7 +108,7 @@ bench-resume:
 # Frame read/write allocation microbenchmarks (the -benchmem numbers
 # EXPERIMENTS.md quotes).
 bench-frames:
-	$(GO) test -run '^$$' -bench 'Frame|WriteResponse|WriteErrorFrame' -benchmem ./internal/elide/
+	$(GO) test -run '^$$' -bench 'Frame|WriteResponse|WriteErrorFrame|HandshakeCodec' -benchmem ./internal/elide/
 
 # Observability hot-path budget gate: span start/finish and audit emit
 # must stay within 1 alloc/op at ring steady state (the AllocsPerRun

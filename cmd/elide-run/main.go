@@ -59,7 +59,7 @@ func main() {
 		dialTimeout = flag.Duration("dial-timeout", elide.DefaultDialTimeout, "server connection timeout")
 		reqTimeout  = flag.Duration("request-timeout", elide.DefaultRequestTimeout, "per-request timeout on the server channel")
 		retries     = flag.Int("retries", elide.DefaultRetryBudget, "transient-failure retries before giving up")
-		pipeline    = flag.Bool("pipeline", true, "offer the pipelined (ProtoV1) restore protocol: attest+meta+data in one flight (falls back automatically against legacy servers)")
+		pipeline    = flag.Bool("pipeline", true, "pipelined (ProtoV1) restore: attest+meta+data in one flight; false runs the paper's three-flight protocol")
 		timeout     = flag.Duration("timeout", 0, "overall deadline for the restore (0 = none)")
 		traceJSON   = flag.String("trace-json", "", "write the launch trace (one JSON span per line) to this file")
 		metricsJSON = flag.String("metrics-json", "", "write the final metrics snapshot to this file")

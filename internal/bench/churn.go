@@ -210,8 +210,8 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 		elide.WithBreakerCooldown(200 * time.Millisecond),
 		elide.WithEndpointClientOptions(
 			elide.WithClientMetrics(clientMetrics),
-			elide.WithMaxRetries(1),
-			elide.WithBackoff(10*time.Millisecond, 100*time.Millisecond),
+			elide.WithRetryBudget(1),
+			elide.WithRetryBackoff(10*time.Millisecond, 100*time.Millisecond),
 			elide.WithDialTimeout(10*time.Second),
 			elide.WithRequestTimeout(30*time.Second),
 		),

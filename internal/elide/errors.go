@@ -157,7 +157,7 @@ func isTransient(err error) bool {
 		return false
 	}
 	// Everything else on the TCP path — dial errors, resets, EOF from a
-	// dropped connection, i/o timeouts, short frames, torn gob streams —
+	// dropped connection, i/o timeouts, short or torn frames —
 	// is transient: the handshake replay is idempotent (the server resumes
 	// the session), so a reconnect can only help.
 	return true

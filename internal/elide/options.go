@@ -52,10 +52,6 @@ const (
 	DefaultBreakerCooldown = 5 * time.Second
 	// DefaultHealthAlpha is the endpoint health EWMA smoothing factor.
 	DefaultHealthAlpha = 0.3
-	// DefaultPeerCooldown is how long a peer that refused the replication
-	// handshake (a legacy server, or one without a fleet key) is left
-	// alone before the next attempt.
-	DefaultPeerCooldown = 5 * time.Minute
 	// DefaultGossipInterval is the membership probe/gossip round cadence.
 	DefaultGossipInterval = time.Second
 	// DefaultSuspectTimeout is how long a suspected member has to refute
@@ -89,11 +85,6 @@ func WithRetryBudget(n int) ClientOption {
 	return func(o *clientOptions) { o.maxRetries = n }
 }
 
-// WithMaxRetries sets the retry budget.
-//
-// Deprecated: use WithRetryBudget.
-func WithMaxRetries(n int) ClientOption { return WithRetryBudget(n) }
-
 // WithRetryBackoff sets the exponential backoff base and cap between
 // retries (default DefaultBackoffBase, DefaultBackoffCap). Each retry
 // sleeps a uniformly jittered duration in [base/2, base) * 2^attempt,
@@ -102,21 +93,13 @@ func WithRetryBackoff(base, cap time.Duration) ClientOption {
 	return func(o *clientOptions) { o.backoffBase, o.backoffCap = base, cap }
 }
 
-// WithBackoff sets the retry backoff.
-//
-// Deprecated: use WithRetryBackoff.
-func WithBackoff(base, cap time.Duration) ClientOption { return WithRetryBackoff(base, cap) }
-
-// WithProtocolVersion sets the highest wire protocol version the client
-// offers in its attestation handshake (default ProtoLegacy).
-//
-// At ProtoV1 the client asks the server to bundle the encrypted meta and
-// data responses into the attestation reply, collapsing the restore's
-// three round trips into one flight, and pipelines the handshake replay
-// with the pending request on reconnects. Version negotiation is
-// backward compatible both ways: a legacy server ignores the offer and
-// the client falls back to per-request round trips; a legacy client
-// never offers, so a new server answers it exactly as before.
+// WithProtocolVersion sets the client's protocol mode (default
+// ProtoLegacy). It chooses only whether a fresh Attest asks for a bundle:
+// at ProtoV1 the server bundles the encrypted meta and data responses
+// into the attestation reply, collapsing the restore's three round trips
+// into one flight; at ProtoLegacy the client runs the paper's
+// three-flight protocol. The wire layout, trace context and the
+// pipelined reconnect replay are the same in both modes.
 func WithProtocolVersion(v uint8) ClientOption {
 	return func(o *clientOptions) { o.proto = v }
 }
@@ -203,16 +186,6 @@ func WithResumeReplication(fleetKey []byte, peers ...string) ServerOption {
 	}
 }
 
-// WithPeerCooldown sets how long a peer that refused the replication
-// handshake (a legacy binary, or one running without a fleet key) is left
-// alone before the next dial attempt (default DefaultPeerCooldown).
-// Refutation is automatic: once the cooldown lapses, the next push or
-// fetch redials, and an upgraded peer sheds the legacy mark on the first
-// successful handshake.
-func WithPeerCooldown(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.peerCooldown = d }
-}
-
 // WithGossip enables SWIM-style fleet membership (DESIGN §15). self is the
 // address this server advertises to the mesh — it must be the address
 // peers can dial back, not the listen wildcard. Requires the fleet key
@@ -276,7 +249,7 @@ func WithServerMetrics(r *obs.Registry) ServerOption {
 
 // WithServerTracer wires the server into an obs tracer: each TCP session
 // becomes a span tree with a child per protocol phase — the server-side
-// mirror of the client's restore pipeline. When the client's v1 handshake
+// mirror of the client's restore pipeline. When the client's hello
 // carries trace context, the session span joins the client's restore
 // trace instead of rooting its own, so merged exports render one
 // cross-process tree.

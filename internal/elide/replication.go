@@ -3,7 +3,6 @@ package elide
 import (
 	"bufio"
 	"crypto/subtle"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"sgxelide/internal/obs"
-	"sgxelide/internal/sgx"
 )
 
 // Replicated session resumption (DESIGN §14): each server pushes its
@@ -23,20 +21,16 @@ import (
 // re-attest.
 //
 // The peer link rides the existing framed transport: the dialing server
-// sends a normal gob attestation handshake with the Peer field set (a
-// v1-negotiated capability — a legacy server's gob decoder drops the
-// unknown field, sees a zero-value quote, refuses the handshake, and the
-// dialer marks the peer legacy and backs off; legacy peers are otherwise
-// unaffected). An accepting server that has a fleet key acks with its
-// protocol version and then serves replication frames:
+// opens with a helloPeerLink hello (hello.go). An accepting server that
+// has a fleet key acks with an empty OK frame and then serves replication
+// frames; one without a fleet key refuses, which the dialer reports as an
+// ordinary ErrRefused:
 //
 //	push:  op(1)=peerOpPush  || wrapped record      (no reply)
 //	fetch: op(1)=peerOpFetch || binding(32)         (reply: wrapped record, or a refusal on miss)
 //
 // plus the gossip/anti-entropy opcodes (peerOpPing, peerOpPingReq,
-// peerOpDigest — see membership.go). A PR 9 binary answers those with
-// its unknown-op refusal and the link survives, so mixed-version fleets
-// degrade to static replication rather than breaking.
+// peerOpDigest — see membership.go).
 //
 // Records cross the wire ONLY as wrapResumeRecord blobs — AES-GCM under
 // the shared fleet sealing key — so the transport carries no cleartext
@@ -47,10 +41,6 @@ import (
 // (membership.go) adds members it discovers and retires members declared
 // dead, so pushes track the live fleet. The statically configured peers
 // remain as seeds either way.
-
-// peerLinkResume marks an attestMsg as a replication-link handshake
-// rather than a client session.
-const peerLinkResume uint8 = 1
 
 // Replication-link frame opcodes (3+ are in membership.go).
 const (
@@ -71,9 +61,6 @@ const dropAuditInterval = time.Minute
 // keeps reporting degraded.
 const dropHealthWindow = time.Minute
 
-// errPeerLegacy marks a peer that refused the replication handshake.
-var errPeerLegacy = errors.New("elide: peer does not speak resume replication")
-
 // peerDialFunc dials one fleet peer; the default is net.DialTimeout, and
 // partition tests swap in a gate.
 type peerDialFunc func(addr string, timeout time.Duration) (net.Conn, error)
@@ -93,16 +80,14 @@ func writePeerFrame(w io.Writer, op byte, payload []byte) error {
 }
 
 // resumePeer is the dialer-side state of one replication link: a lazily
-// dialed, persistently reused connection plus the legacy cooldown.
+// dialed, persistently reused connection.
 type resumePeer struct {
-	addr     string
-	dial     peerDialFunc
-	cooldown time.Duration // legacy back-off (WithPeerCooldown)
+	addr string
+	dial peerDialFunc
 
-	mu          sync.Mutex
-	conn        net.Conn
-	br          *bufio.Reader
-	legacyUntil time.Time
+	mu   sync.Mutex
+	conn net.Conn
+	br   *bufio.Reader
 }
 
 func (p *resumePeer) closeLocked() {
@@ -128,12 +113,7 @@ func (p *resumePeer) ensureLocked(dialTimeout, opTimeout time.Duration) error {
 		return err
 	}
 	_ = conn.SetDeadline(time.Now().Add(opTimeout))
-	// The handshake is a normal attestMsg with Peer set. The quote must be
-	// a non-nil zero value: gob refuses nil pointers, and a legacy server
-	// (which never sees the Peer field) will verify-and-refuse it, which
-	// is exactly the signal that the peer does not speak replication.
-	msg := attestMsg{Quote: &sgx.Quote{}, Proto: ProtoV1, Peer: peerLinkResume}
-	if err := gob.NewEncoder(conn).Encode(&msg); err != nil {
+	if err := writeFrame(conn, encodeHello(&attestMsg{Kind: helloPeerLink})); err != nil {
 		_ = conn.Close()
 		return err
 	}
@@ -141,33 +121,23 @@ func (p *resumePeer) ensureLocked(dialTimeout, opTimeout time.Duration) error {
 	ack, err := readResponse(br)
 	if err != nil {
 		_ = conn.Close()
-		if errors.Is(err, ErrRefused) {
-			p.legacyUntil = time.Now().Add(p.cooldown)
-			return errPeerLegacy
-		}
 		return err
 	}
-	if len(ack) != 1 || ack[0] != ProtoV1 {
+	if len(ack) != 0 {
 		_ = conn.Close()
 		return fmt.Errorf("elide: unexpected replication ack from %s (%d bytes)", p.addr, len(ack))
 	}
-	// A successful handshake refutes any earlier legacy mark — the peer
-	// was upgraded (or regained its fleet key) since the last refusal.
-	p.legacyUntil = time.Time{}
 	p.conn, p.br = conn, br
 	return nil
 }
 
 // roundTrip sends one frame (reading the reply when want is set),
 // redialing once on a stale connection. A refusal reply is an answer
-// (fetch miss, unknown op on an old peer), not a link failure, and does
-// not burn the connection.
+// (fetch miss, gossip not enabled), not a link failure, and does not burn
+// the connection.
 func (p *resumePeer) roundTrip(op byte, payload []byte, want bool, dialTimeout, opTimeout time.Duration) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if time.Now().Before(p.legacyUntil) {
-		return nil, errPeerLegacy
-	}
 	var last error
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := p.ensureLocked(dialTimeout, opTimeout); err != nil {
@@ -205,7 +175,6 @@ type resumeReplicator struct {
 	audit       *obs.AuditLog
 	dialTimeout time.Duration
 	opTimeout   time.Duration
-	cooldown    time.Duration
 	dial        peerDialFunc
 
 	mu    sync.Mutex
@@ -233,16 +202,12 @@ func newResumeReplicator(o *serverOptions) *resumeReplicator {
 		audit:        o.audit,
 		dialTimeout:  DefaultDialTimeout,
 		opTimeout:    DefaultPeerOpTimeout,
-		cooldown:     o.peerCooldown,
 		dial:         o.peerDial,
 		peers:        make(map[string]*resumePeer),
 		dead:         make(map[string]bool),
 		queue:        make(chan ResumeRecord, peerPushQueue),
 		dropInterval: dropAuditInterval,
 		dropWindow:   dropHealthWindow,
-	}
-	if r.cooldown <= 0 {
-		r.cooldown = DefaultPeerCooldown
 	}
 	if r.dial == nil {
 		r.dial = defaultPeerDial
@@ -262,7 +227,7 @@ func (r *resumeReplicator) peerFor(addr string) *resumePeer {
 	defer r.mu.Unlock()
 	p, ok := r.peers[addr]
 	if !ok {
-		p = &resumePeer{addr: addr, dial: r.dial, cooldown: r.cooldown}
+		p = &resumePeer{addr: addr, dial: r.dial}
 		r.peers[addr] = p
 	}
 	return p
@@ -353,8 +318,9 @@ func (r *resumeReplicator) healthCheck() error {
 
 // pump drains the push queue for the life of the process. The pump (not
 // the attest path) pays for wrapping and for slow peers; link errors are
-// counted and the record is simply not replicated — the client's
-// fallback is the peer fetch, and behind that a full re-attest.
+// counted (a peer that refuses the link included) and the record is
+// simply not replicated — the client's fallback is the peer fetch, and
+// behind that a full re-attest.
 func (r *resumeReplicator) pump() {
 	for rec := range r.queue {
 		wrapped, err := wrapResumeRecord(r.fleetKey, rec)
@@ -364,11 +330,7 @@ func (r *resumeReplicator) pump() {
 		}
 		for _, p := range r.activePeers() {
 			if _, err := p.roundTrip(peerOpPush, wrapped, false, r.dialTimeout, r.opTimeout); err != nil {
-				if errors.Is(err, errPeerLegacy) {
-					r.metrics.Counter("server.resume_peer_legacy").Inc()
-				} else {
-					r.metrics.Counter("server.resume_replicate_errors").Inc()
-				}
+				r.metrics.Counter("server.resume_replicate_errors").Inc()
 				continue
 			}
 			r.metrics.Counter("server.resume_replicate_sent").Inc()
@@ -402,9 +364,8 @@ func (r *resumeReplicator) fetch(binding [32]byte) (ResumeRecord, bool) {
 
 // handlePeerConn serves one replication link: ack the handshake, then a
 // loop of push/fetch/gossip frames until the peer hangs up. Reached from
-// handleConn when the decoded handshake carries the Peer marker; a server
-// without a fleet key refuses (the same shape a legacy server produces,
-// so dialers treat both identically).
+// handleConn on a helloPeerLink hello; a server without a fleet key
+// refuses.
 func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
 	if len(s.opt.fleetKey) == 0 {
 		s.armDeadline(conn)
@@ -413,7 +374,7 @@ func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
 	}
 	s.opt.metrics.Counter("server.peer_links").Inc()
 	s.armPeerDeadline(conn)
-	if err := writeResponse(conn, []byte{ProtoV1}); err != nil {
+	if err := writeResponse(conn, nil); err != nil {
 		return err
 	}
 	var scratch []byte
@@ -431,124 +392,96 @@ func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
 			return fmt.Errorf("elide server: empty replication frame")
 		}
 		op, payload := frame[0], frame[1:]
-		switch op {
-		case peerOpPush:
-			rec, err := openResumeRecord(s.opt.fleetKey, payload)
-			if err != nil || rec.expired(time.Now()) {
-				s.opt.metrics.Counter("server.resume_replicate_bad").Inc()
-				continue
-			}
-			s.resume.Put(rec)
-			s.opt.metrics.Counter("server.resume_replicated").Inc()
-			s.opt.audit.Emit(obs.AuditEvent{
-				Type:     obs.AuditResumeReplicated,
-				Enclave:  fmt.Sprintf("%x", rec.MrEnclave[:4]),
-				Endpoint: conn.RemoteAddr().String(),
-			})
-		case peerOpFetch:
-			s.armPeerDeadline(conn)
-			if len(payload) != 32 {
-				if werr := writeErrorFrame(conn, "malformed fetch"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			var binding [32]byte
-			copy(binding[:], payload)
-			rec, ok, _ := s.resume.Get(binding)
-			if !ok {
-				if werr := writeErrorFrame(conn, "resume miss"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			wrapped, err := wrapResumeRecord(s.opt.fleetKey, rec)
-			if err != nil {
-				if werr := writeErrorFrame(conn, "wrap failed"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			s.opt.metrics.Counter("server.resume_fetch_served").Inc()
-			if werr := writeResponse(conn, wrapped); werr != nil {
-				return werr
-			}
-		case peerOpPing:
-			if s.gsp == nil {
-				if werr := writeErrorFrame(conn, "gossip not enabled"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if err := s.gsp.mergeSealed(payload); err != nil {
-				s.opt.metrics.Counter("server.gossip_bad_delta").Inc()
-				if werr := writeErrorFrame(conn, "bad gossip delta"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			s.opt.metrics.Counter("server.gossip_pings").Inc()
-			reply, err := s.gsp.sealedSummary()
-			if err != nil {
-				if werr := writeErrorFrame(conn, "seal failed"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if werr := writeResponse(conn, reply); werr != nil {
-				return werr
-			}
-		case peerOpPingReq:
-			if s.gsp == nil {
-				if werr := writeErrorFrame(conn, "gossip not enabled"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			// The indirect probe dials the target synchronously; the link's
-			// deadline is re-armed after, so a slow target costs this one
-			// frame, not the link.
-			ok, err := s.gsp.servePingReq(payload)
-			s.armPeerDeadline(conn)
-			if err != nil {
-				s.opt.metrics.Counter("server.gossip_bad_delta").Inc()
-				if werr := writeErrorFrame(conn, "bad ping-req"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if !ok {
-				if werr := writeErrorFrame(conn, "target unreachable"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if werr := writeResponse(conn, nil); werr != nil {
-				return werr
-			}
-		case peerOpDigest:
-			if s.gsp == nil {
-				if werr := writeErrorFrame(conn, "gossip not enabled"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			reply, err := s.gsp.serveDigest(payload)
-			if err != nil {
-				s.opt.metrics.Counter("server.anti_entropy_bad").Inc()
-				if werr := writeErrorFrame(conn, "bad digest"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if werr := writeResponse(conn, reply); werr != nil {
-				return werr
-			}
-		default:
-			if werr := writeErrorFrame(conn, "unknown replication op"); werr != nil {
-				return werr
-			}
+		if op == peerOpPush {
+			s.acceptPush(payload, conn.RemoteAddr().String())
+			continue
 		}
+		reply, refusal := s.servePeerOp(op, payload)
+		s.armPeerDeadline(conn)
+		if refusal != "" {
+			err = writeErrorFrame(conn, refusal)
+		} else {
+			err = writeResponse(conn, reply)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// acceptPush stores one pushed record (no reply; a bad one only counts).
+func (s *Server) acceptPush(payload []byte, from string) {
+	rec, err := openResumeRecord(s.opt.fleetKey, payload)
+	if err != nil || rec.expired(time.Now()) {
+		s.opt.metrics.Counter("server.resume_replicate_bad").Inc()
+		return
+	}
+	s.resume.Put(rec)
+	s.opt.metrics.Counter("server.resume_replicated").Inc()
+	s.opt.audit.Emit(obs.AuditEvent{
+		Type:     obs.AuditResumeReplicated,
+		Enclave:  fmt.Sprintf("%x", rec.MrEnclave[:4]),
+		Endpoint: from,
+	})
+}
+
+// servePeerOp answers one replying link frame: the reply payload, or a
+// refusal reason.
+func (s *Server) servePeerOp(op byte, payload []byte) (reply []byte, refusal string) {
+	switch op {
+	case peerOpPing, peerOpPingReq, peerOpDigest:
+		if s.gsp == nil {
+			return nil, "gossip not enabled"
+		}
+	}
+	switch op {
+	case peerOpFetch:
+		if len(payload) != 32 {
+			return nil, "malformed fetch"
+		}
+		rec, ok, _ := s.resume.Get([32]byte(payload))
+		if !ok {
+			return nil, "resume miss"
+		}
+		wrapped, err := wrapResumeRecord(s.opt.fleetKey, rec)
+		if err != nil {
+			return nil, "wrap failed"
+		}
+		s.opt.metrics.Counter("server.resume_fetch_served").Inc()
+		return wrapped, ""
+	case peerOpPing:
+		if err := s.gsp.mergeSealed(payload); err != nil {
+			s.opt.metrics.Counter("server.gossip_bad_delta").Inc()
+			return nil, "bad gossip delta"
+		}
+		s.opt.metrics.Counter("server.gossip_pings").Inc()
+		reply, err := s.gsp.sealedSummary()
+		if err != nil {
+			return nil, "seal failed"
+		}
+		return reply, ""
+	case peerOpPingReq:
+		// The indirect probe dials the target synchronously; the caller
+		// re-arms the link's deadline after, so a slow target costs this
+		// one frame, not the link.
+		ok, err := s.gsp.servePingReq(payload)
+		if err != nil {
+			s.opt.metrics.Counter("server.gossip_bad_delta").Inc()
+			return nil, "bad ping-req"
+		}
+		if !ok {
+			return nil, "target unreachable"
+		}
+		return nil, ""
+	case peerOpDigest:
+		reply, err := s.gsp.serveDigest(payload)
+		if err != nil {
+			s.opt.metrics.Counter("server.anti_entropy_bad").Inc()
+			return nil, "bad digest"
+		}
+		return reply, ""
+	default:
+		return nil, "unknown replication op"
 	}
 }
 

@@ -156,9 +156,8 @@ func TestResumeFetchFallback(t *testing.T) {
 }
 
 // TestResumeLegacyPeerUnaffected: pointing replication at a server that
-// does not speak it (no fleet key — the same refusal shape a pre-
-// replication binary produces) must not disturb that server's client
-// traffic; the dialer just marks the peer legacy and backs off.
+// refuses it (no fleet key) must not disturb that server's client
+// traffic; the dialer counts the refused push as a replication error.
 func TestResumeLegacyPeerUnaffected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("enclave quote generation in -short")
@@ -189,7 +188,7 @@ func TestResumeLegacyPeerUnaffected(t *testing.T) {
 	if _, err := v1Client(l1.Addr().String()).Attest(ctx, q1, cpub1); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, m1, "server.resume_peer_legacy", 1)
+	waitCounter(t, m1, "server.resume_replicate_errors", 1)
 
 	// The refusing server still serves ordinary clients.
 	q0, cpub0 := freshQuote(t, h, encl)

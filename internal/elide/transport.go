@@ -3,7 +3,6 @@ package elide
 import (
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -21,29 +20,16 @@ import (
 // allocate unboundedly or stream garbage.
 const MaxFrame = 64 << 20
 
-// Wire protocol versions, offered by the client in its attestation
-// handshake (attestMsg.Proto) and confirmed by the shape of the server's
-// reply. Negotiation degrades to ProtoLegacy in both directions: a legacy
-// server ignores the unknown handshake fields and answers with a bare
-// 32-byte key, and a legacy client never offers, so a new server answers
-// it exactly as before.
+// Client protocol modes (WithProtocolVersion). The wire layout is the
+// same in both; the mode only chooses whether a fresh Attest asks for the
+// channel responses to be bundled into the attest reply.
 const (
-	// ProtoLegacy: one flight per protocol step (attest, then each
-	// channel request) — the wire behavior of every release so far.
+	// ProtoLegacy: the paper's protocol, one flight per step (attest,
+	// REQUEST_META, REQUEST_DATA).
 	ProtoLegacy uint8 = 0
-	// ProtoV1: the attest reply bundles the encrypted channel responses
-	// the client asked for (attestMsg.Bundle), collapsing a restore into
-	// one network flight; reconnects pipeline the handshake replay with
-	// the pending request into one flight.
+	// ProtoV1: the attest reply bundles the encrypted meta and data
+	// responses, collapsing a restore into one network flight.
 	ProtoV1 uint8 = 1
-)
-
-// Bundle request bits (attestMsg.Bundle): which encrypted channel
-// responses a ProtoV1 client wants pipelined into the attest reply, in
-// protocol order.
-const (
-	bundleMeta byte = 1 << 0 // REQUEST_META reply
-	bundleData byte = 1 << 1 // REQUEST_DATA reply
 )
 
 // Response frames carry a one-byte status prefix so a refusal is a
@@ -118,38 +104,31 @@ func writeFrame(w io.Writer, b []byte) error {
 // session's request loop; pass nil when the payload must be retained
 // beyond the next read.
 func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	return readFrameMax(r, buf, MaxFrame)
+}
+
+// readFrame reads one length-prefixed frame into fresh memory.
+func readFrame(r io.Reader) ([]byte, error) {
+	return readFrameMax(r, nil, MaxFrame)
+}
+
+// readFrameMax is readFrameInto with a payload cap of max bytes.
+func readFrameMax(r io.Reader, buf []byte, max uint32) ([]byte, error) {
 	if cap(buf) < 4 {
-		buf = make([]byte, 256)
+		buf = make([]byte, 4)
 	}
 	hdr := buf[:4]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr)
-	if n > MaxFrame {
+	if n > max {
 		return nil, fmt.Errorf("%w (%d bytes on read)", ErrFrameTooLarge, n)
 	}
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readFrame reads one length-prefixed frame into fresh memory.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w (%d bytes on read)", ErrFrameTooLarge, n)
-	}
-	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
@@ -272,14 +251,13 @@ type clientOptions struct {
 // session keyed by the client's quote-bound ephemeral key, so the channel
 // key survives a reconnect).
 //
-// With WithProtocolVersion(ProtoV1) the client offers the pipelined
-// protocol: Attest asks the server to bundle the encrypted meta and data
-// responses into its reply, and Request serves them from the local cache
-// in protocol order without touching the wire — a whole restore in one
-// network flight. The protocol's strict ordering makes the positional
-// cache sound: the first channel request after an attest is always
-// REQUEST_META, the second REQUEST_DATA (the same invariant the runtime's
-// phase naming relies on).
+// With WithProtocolVersion(ProtoV1) Attest asks the server to bundle the
+// encrypted meta and data responses into its reply, and Request serves
+// them from the local cache in protocol order without touching the wire —
+// a whole restore in one network flight. The protocol's strict ordering
+// makes the positional cache sound: the first channel request after an
+// attest is always REQUEST_META, the second REQUEST_DATA (the same
+// invariant the runtime's phase naming relies on).
 //
 // Build it with NewTCPClient; the zero value is not usable. A TCPClient is
 // safe for concurrent use, though the restore protocol is sequential.
@@ -290,14 +268,9 @@ type TCPClient struct {
 	mu       sync.Mutex
 	conn     net.Conn
 	attested bool
-	// handshake replay state: the exact attestMsg that last attested
-	// successfully, resent on a fresh connection before retrying a
-	// request.
+	// handshake is the hello that last attested successfully; a fresh
+	// connection resends it, with the replay flag, ahead of the request.
 	handshake *attestMsg
-	// serverProto is the wire version the server's attest reply confirmed;
-	// it gates the pipelined reconnect replay (a legacy server decodes the
-	// handshake straight off the socket and must see nothing behind it).
-	serverProto uint8
 	// pending holds the encrypted channel responses a ProtoV1 attest
 	// pre-fetched, served FIFO by Request. Cleared on every (re)attest.
 	pending [][]byte
@@ -358,68 +331,22 @@ func (c *TCPClient) ensureConnLocked(ctx context.Context) error {
 	return nil
 }
 
-// sendHandshakeLocked sends msg and reads the server's attestation reply.
-func (c *TCPClient) sendHandshakeLocked(msg *attestMsg) ([]byte, error) {
-	if err := gob.NewEncoder(c.conn).Encode(msg); err != nil {
-		return nil, err
-	}
-	c.opt.metrics.Counter("client.flights").Inc()
-	return readResponse(c.conn)
-}
-
-// parseAttestReply splits the server's attestation reply into the channel
-// public key and any bundled channel responses. A legacy reply is the bare
-// 32-byte key; a ProtoV1 reply is
-//
-//	version(1) || pub(32) || u32 metaLen || encMeta || u32 dataLen || encData
-//
-// where a zero length means that part was not bundled. The shapes cannot
-// collide: a v1 reply is at least 41 bytes and never exactly 32.
-func parseAttestReply(payload []byte) (pub []byte, bundled [][]byte, proto uint8, err error) {
-	if len(payload) == 32 {
-		return payload, nil, ProtoLegacy, nil
-	}
-	if len(payload) < 1+32+8 || payload[0] != ProtoV1 {
-		return nil, nil, 0, fmt.Errorf("elide: malformed attest reply (%d bytes)", len(payload))
-	}
-	pub = payload[1:33]
-	rest := payload[33:]
-	for part := 0; part < 2; part++ {
-		if len(rest) < 4 {
-			return nil, nil, 0, fmt.Errorf("elide: truncated attest bundle")
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint32(len(rest)) < n {
-			return nil, nil, 0, fmt.Errorf("elide: truncated attest bundle part (%d of %d bytes)", len(rest), n)
-		}
-		if n > 0 {
-			bundled = append(bundled, rest[:n])
-		}
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, nil, 0, fmt.Errorf("elide: %d trailing bytes after attest bundle", len(rest))
-	}
-	return pub, bundled, ProtoV1, nil
-}
-
 // Attest implements SecretChannel: it performs the attestation handshake,
 // retrying transient failures on fresh connections. At ProtoV1 the
 // handshake asks the server to bundle the meta and data responses into
 // its reply, pre-filling the cache later Requests drain.
 func (c *TCPClient) Attest(ctx context.Context, q *sgx.Quote, clientPub []byte) ([]byte, error) {
-	var bundle byte
+	var flags byte
 	if c.opt.proto >= ProtoV1 {
-		bundle = bundleMeta | bundleData
+		flags = bundleMeta | bundleData
 	}
-	return c.attest(ctx, q, clientPub, bundle)
+	return c.attest(ctx, q, clientPub, flags)
 }
 
 // ResumeAttest runs the attestation handshake as a session *replay*: same
-// wire exchange as Attest, but the v1 offer carries an empty bundle
-// request, which the server reads as "this client is mid-protocol —
-// resume, don't restart". Two things follow: a resume-replicating server
+// wire exchange as Attest, but the hello carries the replay flag and no
+// bundle request, which the server reads as "this client is mid-protocol
+// — resume, don't restart". Two things follow: a resume-replicating server
 // answers with the session's original channel key (locally cached or
 // fetched from a fleet peer) rather than a fresh one, and no pre-fetched
 // responses are bundled, so nothing can land at the wrong position in the
@@ -428,42 +355,45 @@ func (c *TCPClient) Attest(ctx context.Context, q *sgx.Quote, clientPub []byte) 
 // wants Attest.
 func (c *TCPClient) ResumeAttest(ctx context.Context, q *sgx.Quote, clientPub []byte) ([]byte, error) {
 	c.opt.metrics.Counter("client.resume_attests").Inc()
-	return c.attest(ctx, q, clientPub, 0)
+	return c.attest(ctx, q, clientPub, helloReplay)
 }
 
 // attest is the shared handshake engine behind Attest and ResumeAttest.
-func (c *TCPClient) attest(ctx context.Context, q *sgx.Quote, clientPub []byte, bundle byte) ([]byte, error) {
-	msg := &attestMsg{Quote: q, ClientPub: append([]byte(nil), clientPub...), Proto: c.opt.proto}
-	if c.opt.proto >= ProtoV1 {
-		msg.Bundle = bundle
-		// Trace-context capability: stamp the restore trace so the server's
-		// session spans join it. The handshake replay on reconnects reuses
-		// this msg, keeping the resumed session in the same trace. A legacy
-		// server's gob decoder drops the fields unseen.
-		if sp := obs.SpanFromContext(ctx); sp != nil {
-			msg.TraceID, msg.SpanID = sp.TraceID(), sp.ID()
-		}
+func (c *TCPClient) attest(ctx context.Context, q *sgx.Quote, clientPub []byte, flags byte) ([]byte, error) {
+	msg := &attestMsg{Kind: helloAttest, Flags: flags, Quote: q, ClientPub: append([]byte(nil), clientPub...)}
+	// Trace context: stamp the restore trace so the server's session spans
+	// join it. The handshake replay on reconnects reuses these IDs,
+	// keeping the resumed session in the same trace.
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		msg.TraceID, msg.SpanID = sp.TraceID(), sp.ID()
 	}
+	hello := encodeHello(msg)
 	defer c.opt.metrics.Observe("client.attest_ns", time.Now())
 	pub, err := c.withRetry(ctx, "client.attest", func() ([]byte, error) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.pending = nil // a (re)attestation restarts the protocol sequence
+		// The hello is a connection's first frame, so a re-attest never
+		// reuses the previous session's connection.
+		_ = c.closeConnLocked()
 		if err := c.ensureConnLocked(ctx); err != nil {
 			return nil, err
 		}
 		c.setDeadlineLocked()
-		payload, err := c.sendHandshakeLocked(msg)
+		if err := writeFrame(c.conn, hello); err != nil {
+			return nil, err
+		}
+		c.opt.metrics.Counter("client.flights").Inc()
+		payload, err := readResponse(c.conn)
 		if err != nil {
 			return nil, err
 		}
-		pub, bundled, proto, err := parseAttestReply(payload)
+		pub, bundled, err := parseAttestReply(payload)
 		if err != nil {
 			return nil, err
 		}
 		c.attested = true
 		c.handshake = msg
-		c.serverProto = proto
 		c.pending = bundled
 		if len(bundled) > 0 {
 			c.opt.metrics.Counter("client.bundled_attests").Inc()
@@ -481,8 +411,8 @@ func (c *TCPClient) attest(ctx context.Context, q *sgx.Quote, clientPub []byte, 
 // served from the cache without touching the wire; otherwise it is one
 // round trip. On a transient failure it reconnects, replays the
 // attestation handshake (resuming the server-side session and channel
-// key), and resends the request — against a ProtoV1 server the replay and
-// the request are pipelined into a single flight.
+// key), and resends the request — the replay and the request pipelined
+// into a single flight.
 func (c *TCPClient) Request(ctx context.Context, enc []byte) ([]byte, error) {
 	c.mu.Lock()
 	if !c.attested {
@@ -507,16 +437,15 @@ func (c *TCPClient) Request(ctx context.Context, enc []byte) ([]byte, error) {
 			return nil, err
 		}
 		c.setDeadlineLocked()
-		switch {
-		case fresh && c.serverProto >= ProtoV1:
-			// Pipelined resume: the handshake replay and the pending request
+		if fresh {
+			// Pipelined resume: the replayed hello and the pending request
 			// go out back to back, then both replies are read — one flight
-			// instead of two. The replay must not re-request a bundle: the
+			// instead of two. The replay never asks for a bundle: the
 			// enclave is mid-protocol, and pre-fetched responses would land
 			// at the wrong positions.
 			replay := *c.handshake
-			replay.Bundle = 0
-			if err := gob.NewEncoder(c.conn).Encode(&replay); err != nil {
+			replay.Flags = helloReplay
+			if err := writeFrame(c.conn, encodeHello(&replay)); err != nil {
 				return nil, err
 			}
 			if err := writeFrame(c.conn, enc); err != nil {
@@ -528,15 +457,6 @@ func (c *TCPClient) Request(ctx context.Context, enc []byte) ([]byte, error) {
 				return nil, err
 			}
 			return readResponse(c.conn)
-		case fresh:
-			// Legacy server: resume the session before the request. The
-			// sequential order matters — a legacy server decodes the
-			// handshake straight off the socket and may buffer past it.
-			replay := *c.handshake
-			replay.Bundle = 0
-			if _, err := c.sendHandshakeLocked(&replay); err != nil {
-				return nil, err
-			}
 		}
 		if err := writeFrame(c.conn, enc); err != nil {
 			return nil, err

@@ -88,3 +88,19 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHandshakeCodec is one attest hello with a real quote encoded
+// and parsed — the per-connection handshake cost both sides pay together.
+// SetBytes is the hello frame's payload length.
+func BenchmarkHandshakeCodec(b *testing.B) {
+	q, pub := realQuote(b)
+	m := &attestMsg{Kind: helloAttest, Flags: bundleMeta | bundleData, TraceID: 1, SpanID: 2, Quote: q, ClientPub: pub}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(encodeHello(m))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := parseHello(encodeHello(m)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

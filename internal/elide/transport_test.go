@@ -3,7 +3,6 @@ package elide
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -104,13 +103,18 @@ func serveWire(t *testing.T, l net.Listener, handle func(i int, conn net.Conn)) 
 	}()
 }
 
-// decodeHandshake reads the client's attestMsg.
+// decodeHandshake reads and parses the client's hello frame.
 func decodeHandshake(conn net.Conn) (*attestMsg, error) {
-	var msg attestMsg
-	if err := gob.NewDecoder(conn).Decode(&msg); err != nil {
+	frame, err := readFrameMax(conn, nil, maxHello)
+	if err != nil {
 		return nil, err
 	}
-	return &msg, nil
+	return parseHello(frame)
+}
+
+// writeAttestReply answers a hello with pub and nothing bundled.
+func writeAttestReply(conn net.Conn, pub []byte) error {
+	return writeResponse(conn, attestReply(pub, nil, nil))
 }
 
 func listen(t *testing.T) net.Listener {
@@ -126,8 +130,8 @@ func listen(t *testing.T) net.Listener {
 // fastRetry keeps test backoffs tiny.
 func fastRetry(n int) []ClientOption {
 	return []ClientOption{
-		WithMaxRetries(n),
-		WithBackoff(time.Millisecond, 8*time.Millisecond),
+		WithRetryBudget(n),
+		WithRetryBackoff(time.Millisecond, 8*time.Millisecond),
 		WithDialTimeout(time.Second),
 		WithRequestTimeout(2 * time.Second),
 	}
@@ -141,7 +145,7 @@ func TestClientRetriesDialFailures(t *testing.T) {
 		if _, err := decodeHandshake(conn); err != nil {
 			return
 		}
-		writeResponse(conn, make([]byte, 32))
+		writeAttestReply(conn, make([]byte, 32))
 	})
 	var dials atomic.Int32
 	metrics := obs.NewRegistry()
@@ -249,7 +253,7 @@ func TestClientReconnectReplaysHandshake(t *testing.T) {
 			return
 		}
 		handshakes.Add(1)
-		writeResponse(conn, make([]byte, 32))
+		writeAttestReply(conn, make([]byte, 32))
 		if i == 0 {
 			return // drop before answering any request
 		}
@@ -285,7 +289,7 @@ func TestClientRecoversFromTruncatedResponse(t *testing.T) {
 		if _, err := decodeHandshake(conn); err != nil {
 			return
 		}
-		writeResponse(conn, make([]byte, 32))
+		writeAttestReply(conn, make([]byte, 32))
 		req, err := readFrame(conn)
 		if err != nil {
 			return
@@ -301,8 +305,9 @@ func TestClientRecoversFromTruncatedResponse(t *testing.T) {
 		}
 		if dials.Add(1) == 1 {
 			// First connection: tear the stream after the attest reply
-			// (37 = frame header + status + 32-byte pub), mid-request.
-			return NewFaultConn(conn).FailReadsAfter(37 + 5).Truncating(), nil
+			// (45 = frame header + status + 32-byte pub + two empty bundle
+			// lengths), mid-request.
+			return NewFaultConn(conn).FailReadsAfter(45 + 5).Truncating(), nil
 		}
 		return conn, nil
 	}))
@@ -328,8 +333,8 @@ func TestClientRecoversFromTruncatedResponse(t *testing.T) {
 // immediately with the context's error, not ErrServerUnavailable.
 func TestClientContextCancellation(t *testing.T) {
 	opts := []ClientOption{
-		WithMaxRetries(1000),
-		WithBackoff(50*time.Millisecond, time.Second),
+		WithRetryBudget(1000),
+		WithRetryBackoff(50*time.Millisecond, time.Second),
 		WithDialer(func(ctx context.Context, addr string) (net.Conn, error) {
 			return nil, fmt.Errorf("connect: connection refused")
 		}),
@@ -641,7 +646,7 @@ func TestStress64ConcurrentRestores(t *testing.T) {
 			// cores, tight deadlines measure scheduler starvation, not
 			// transport correctness.
 			client := NewTCPClient(l.Addr().String(),
-				WithMaxRetries(5),
+				WithRetryBudget(5),
 				WithDialTimeout(30*time.Second),
 				WithRequestTimeout(time.Minute),
 				WithClientTracer(tracer),

@@ -128,11 +128,72 @@ type Quote struct {
 func (q *Quote) body() []byte {
 	buf := make([]byte, 0, 160)
 	buf = append(buf, "QUOTE"...)
-	buf = append(buf, q.MrEnclave[:]...)
-	buf = append(buf, q.MrSigner[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, q.ProdID)
-	buf = append(buf, q.Data[:]...)
-	return buf
+	return q.appendFixed(buf)
+}
+
+// appendFixed appends the quote's fixed-size fields: the signed body
+// after its domain tag, and the head of the wire form.
+func (q *Quote) appendFixed(b []byte) []byte {
+	b = append(b, q.MrEnclave[:]...)
+	b = append(b, q.MrSigner[:]...)
+	b = binary.LittleEndian.AppendUint16(b, q.ProdID)
+	return append(b, q.Data[:]...)
+}
+
+// MaxQuoteField bounds each variable-length quote field on parse; real
+// values (a P-256 ASN.1 signature, a coordinate) are well under it.
+const MaxQuoteField = 256
+
+const quoteFixedSize = 32 + 32 + 2 + ReportDataSize
+
+// AppendWire appends q's wire form to b: the fixed fields, then the four
+// variable fields each behind a u16 little-endian length —
+//
+//	MrEnclave(32) || MrSigner(32) || ProdID(u16) || Data(64) ||
+//	len || Signature || len || QEPubX || len || QEPubY || len || QECert
+//
+// Only the enumerated fields are written, so no struct memory (padding
+// included) reaches the wire. ParseQuote rejects a field over
+// MaxQuoteField.
+func (q *Quote) AppendWire(b []byte) []byte {
+	b = q.appendFixed(b)
+	for _, f := range [...][]byte{q.Signature, q.QEPubX, q.QEPubY, q.QECert} {
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(f)))
+		b = append(b, f...)
+	}
+	return b
+}
+
+// ParseQuote parses a wire-form quote from the front of b and returns it
+// with the unconsumed rest of b. The variable fields are copied, so the
+// quote does not alias b. Truncation and fields over MaxQuoteField are
+// errors.
+func ParseQuote(b []byte) (*Quote, []byte, error) {
+	if len(b) < quoteFixedSize {
+		return nil, nil, fmt.Errorf("sgx: truncated quote (%d bytes)", len(b))
+	}
+	q := &Quote{}
+	copy(q.MrEnclave[:], b)
+	copy(q.MrSigner[:], b[32:])
+	q.ProdID = binary.LittleEndian.Uint16(b[64:])
+	copy(q.Data[:], b[66:])
+	b = b[quoteFixedSize:]
+	for _, f := range [...]*[]byte{&q.Signature, &q.QEPubX, &q.QEPubY, &q.QECert} {
+		if len(b) < 2 {
+			return nil, nil, fmt.Errorf("sgx: truncated quote field")
+		}
+		n := int(binary.LittleEndian.Uint16(b))
+		b = b[2:]
+		if n > MaxQuoteField {
+			return nil, nil, fmt.Errorf("sgx: quote field of %d bytes exceeds %d", n, MaxQuoteField)
+		}
+		if len(b) < n {
+			return nil, nil, fmt.Errorf("sgx: truncated quote field (%d of %d bytes)", len(b), n)
+		}
+		*f = append([]byte(nil), b[:n]...)
+		b = b[n:]
+	}
+	return q, b, nil
 }
 
 // qeTargetInfo is the pseudo-measurement reports use to target the quoting
