@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-vet verify vet-security fmt-check test race chaos load-smoke resume-smoke churn-smoke bench-server bench-multi bench-phases bench-chaos bench-churn bench-load bench-resume bench-frames bench-obs obs-demo trace-demo clean
+.PHONY: build build-vet verify vet-security fmt-check test race chaos load-smoke resume-smoke churn-smoke bench-frames bench-obs obs-demo clean
 
 build:
 	$(GO) build ./...
@@ -68,42 +68,22 @@ resume-smoke:
 churn-smoke:
 	$(GO) test -race -short -run TestChurnBenchSmoke -v ./internal/bench/
 
-# Concurrent-restore transport benchmark; writes BENCH_server.json.
-bench-server:
-	$(GO) run ./cmd/elide-bench -server
-
-# Multi-enclave serving benchmark: N distinct sanitized enclaves restored
-# concurrently against one server; writes BENCH_multi.json.
-bench-multi:
-	$(GO) run ./cmd/elide-bench -multi
-
-# Per-phase restore latency breakdown; writes BENCH_restore_phases.json.
-bench-phases:
-	$(GO) run ./cmd/elide-bench -phases
-
-# Full chaos run: concurrent restores against server replicas while the
-# controller kills/restarts them and injects scripted connection faults;
-# writes BENCH_chaos.json.
-bench-chaos:
-	$(GO) run ./cmd/elide-bench -chaos
-
-# Full gossip-fleet churn run: restores against a gossip mesh while the
-# controller kills, cold-adds and restarts members; writes
-# BENCH_churn.json.
-bench-churn:
-	$(GO) run ./cmd/elide-bench -churn
-
-# Open-loop load test: 10k restores offered at a fixed arrival rate,
-# pipelined vs legacy protocol; writes BENCH_load.json.
-bench-load:
-	$(GO) run ./cmd/elide-bench -load
-
-# Failover-resume benchmark: sessions established on one replica, the
-# replica killed, every session resumed against its peer — replicated
-# (zero extra attestation flights) vs unreplicated baseline (one full
-# re-attest per session); writes BENCH_resume.json.
-bench-resume:
-	$(GO) run ./cmd/elide-bench -resume
+# One elide-bench scenario at full size, writing BENCH_<name>.json:
+#   bench-restore  concurrent TCP restores of 4 enclaves from one server,
+#                  per-enclave release counters cross-checked
+#   bench-load     open-loop load, 10k restores at 500/s, pipelined vs the
+#                  paper's three-flight protocol (the committed BENCH_load.json)
+#   bench-resume   kill the attested replica, resume every session on its
+#                  peer: replicated (zero extra attestation flights) vs not
+#   bench-chaos    restores through replica kills, a restart and scripted
+#                  connection faults; every failure must be typed
+#   bench-churn    restores through a gossip fleet with a kill, a cold-add
+#                  and a restart; the cold member resumes every session
+#                  from anti-entropy state alone
+#   bench-phases   per-phase restore latency, client and server hop
+# (bench-frames and bench-obs below are explicit targets, not scenarios.)
+bench-%:
+	$(GO) run ./cmd/elide-bench -scenario $*
 
 # Frame read/write allocation microbenchmarks (the -benchmem numbers
 # EXPERIMENTS.md quotes).
@@ -117,16 +97,14 @@ bench-frames:
 bench-obs:
 	$(GO) test -run 'Allocs' -bench 'BenchmarkSpan|BenchmarkAudit' -benchtime=1000x -benchmem ./internal/obs/
 
-# One traced local-data restore, span tree pretty-printed to stdout.
-trace-demo:
-	$(GO) run ./cmd/elide-bench -trace-demo
-
 # Cross-process tracing + audit demo: runs a traced, audited restore,
 # prints the merged client+server span tree, and writes
 # BENCH_trace.jsonl / BENCH_audit.jsonl (schema-validated on the way
 # out). CI uploads both as artifacts.
 obs-demo:
-	$(GO) run ./cmd/elide-bench -obs-demo
+	$(GO) run ./cmd/elide-bench -scenario obs
 
+# Removes build output and the untracked scenario artifacts. BENCH_load.json
+# is the committed three-flight baseline and stays.
 clean:
-	rm -rf bin BENCH_server.json BENCH_multi.json BENCH_restore_phases.json BENCH_chaos.json BENCH_churn.json BENCH_load.json BENCH_resume.json BENCH_trace.jsonl BENCH_audit.jsonl
+	rm -rf bin BENCH_restore.json BENCH_phases.json BENCH_chaos.json BENCH_churn.json BENCH_resume.json BENCH_trace.jsonl BENCH_audit.jsonl

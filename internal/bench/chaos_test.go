@@ -12,19 +12,20 @@ import (
 // no restore that reported success computes wrong answers.
 func TestChaosBenchSmoke(t *testing.T) {
 	env := sharedEnv(t)
-	cfg := ChaosConfig{
-		Replicas:     3,
-		Restores:     12,
-		Workers:      4,
-		FaultEvery:   4,
-		RestartDelay: 300 * time.Millisecond,
+	cfg := chaosCfg{
+		replicas:     3,
+		restores:     12,
+		workers:      4,
+		faultEvery:   4,
+		restartDelay: 300 * time.Millisecond,
+		timeout:      chaosFull.timeout,
 	}
 	if testing.Short() {
-		cfg.Replicas = 2
-		cfg.Restores = 6
-		cfg.Workers = 2
+		cfg.replicas = 2
+		cfg.restores = 6
+		cfg.workers = 2
 	}
-	res, err := ChaosBench(env, cfg)
+	res, err := chaosBench(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,37 +3,35 @@ package bench
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sgxelide/internal/elide"
 	"sgxelide/internal/obs"
-	"sgxelide/internal/sdk"
 )
 
-// ChurnConfig drives the gossip-fleet churn run: Restores full restores
-// flow through a fleet of Replicas gossip members (every one seeded with
-// only replica 0 — bootstrap is the mesh's job) plus one legacy replica
-// that speaks no gossip at all, while the controller kills a member at
-// ~1/4 of the run, cold-adds a brand-new member at ~1/2 (and proves it
-// converges on the fleet's resume records without a single attestation
-// flight), and restarts the killed member at ~3/4. The client endpoint
-// pool tracks the fleet through the membership query the whole time.
-type ChurnConfig struct {
-	Program        string        // benchmark program (see All); default "Sha1"
-	Replicas       int           // initial gossip members; default 3
-	Restores       int           // total restores to drive; default 48
-	Workers        int           // concurrent restore workers; default 8
-	Sessions       int           // sessions pre-established on replica 0; default 8
-	GossipInterval time.Duration // fleet gossip tick; default 25ms
-	SuspectTimeout time.Duration // suspicion expiry; default 150ms
-	Timeout        time.Duration // per-restore deadline; default 2m
+// churnCfg sizes the gossip-fleet churn run: restores full restores flow
+// through a fleet of replicas gossip members (every one seeded with only
+// member 0 — bootstrap is the mesh's job) plus one legacy replica that
+// speaks no gossip at all, while the controller kills a member at ~1/4 of
+// the run, cold-adds a brand-new member at ~1/2 (and proves it converges
+// on the fleet's resume records without a single attestation flight), and
+// restarts the killed member at ~3/4. The client endpoint pool tracks the
+// fleet through the membership query the whole time.
+type churnCfg struct {
+	replicas       int           // initial gossip members, at least 2
+	restores       int           // total restores to drive
+	workers        int           // concurrent restore workers
+	sessions       int           // sessions pre-established on member 0
+	gossipInterval time.Duration // fleet gossip tick
+	suspectTimeout time.Duration // suspicion expiry
+	timeout        time.Duration // per-restore deadline
 }
 
-// ChurnResult is the JSON document elide-bench -churn writes to
+var churnFull = churnCfg{replicas: 3, restores: 48, workers: 8, sessions: 8,
+	gossipInterval: 25 * time.Millisecond, suspectTimeout: 150 * time.Millisecond, timeout: 2 * time.Minute}
+
+// ChurnResult is the JSON document the churn scenario writes to
 // BENCH_churn.json. A correct run has UntypedFailures == 0,
 // AddedExtraAttestFlights == 0 (the cold replica resumed every session
 // from anti-entropy state alone), and non-zero suspect/dead/join audit
@@ -46,10 +44,7 @@ type ChurnResult struct {
 	Sessions int     `json:"sessions"`
 	WallMs   float64 `json:"wall_ms"`
 
-	Succeeded        int `json:"succeeded"`
-	TypedFailures    int `json:"typed_failures"`
-	UntypedFailures  int `json:"untyped_failures"`
-	WorkloadFailures int `json:"workload_failures"`
+	restoreTally
 
 	Kills    int `json:"kills"`
 	Restarts int `json:"restarts"`
@@ -101,181 +96,73 @@ func (r *ChurnResult) String() string {
 		r.RestoreLatency.P50Us, r.RestoreLatency.P90Us, r.RestoreLatency.P99Us)
 }
 
-// ChurnBench provisions the gossip fleet and drives the run.
-func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
-	if cfg.Program == "" {
-		cfg.Program = "Sha1"
-	}
-	if cfg.Replicas < 2 {
-		cfg.Replicas = 3
-	}
-	if cfg.Restores <= 0 {
-		cfg.Restores = 48
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
-	if cfg.Sessions <= 0 {
-		cfg.Sessions = 8
-	}
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = 25 * time.Millisecond
-	}
-	if cfg.SuspectTimeout <= 0 {
-		cfg.SuspectTimeout = 150 * time.Millisecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Minute
-	}
-	p, err := ByName(cfg.Program)
+// churnBench provisions the gossip fleet and drives the run.
+func churnBench(env *Env, cfg churnCfg) (*ChurnResult, error) {
+	f, err := newFleet(env, elide.SanitizeOptions{Hybrid: true}, Sha1)
 	if err != nil {
 		return nil, err
 	}
-	prot, err := BuildProtected(env, p, elide.SanitizeOptions{Hybrid: true})
+	defer func() { _ = f.close() }()
+	f.gossip, f.suspect = cfg.gossipInterval, cfg.suspectTimeout
+	quoter, err := newQuoteFactory(env, f.prots[0])
 	if err != nil {
 		return nil, err
 	}
-	quoter, err := newQuoteFactory(env, prot)
-	if err != nil {
-		return nil, err
-	}
-
 	fleetKey := bytes.Repeat([]byte{0xC4}, 32)
 	fleetAudit := obs.NewAuditLog(0)
-
-	// Replica 0 is the lone seed; every other member bootstraps the full
-	// mesh from it. The closure captures seed0 by pointer because replica
-	// 0's address is only known once its listener is bound.
-	var seed0 string
-	gossipFor := func(m *obs.Registry) func(addr string) []elide.ServerOption {
-		return func(addr string) []elide.ServerOption {
-			seeds := []string{}
-			if seed0 != "" && seed0 != addr {
-				seeds = append(seeds, seed0)
-			}
-			return []elide.ServerOption{
-				elide.WithServerMetrics(m),
-				elide.WithServerAudit(fleetAudit),
-				elide.WithResumeReplication(fleetKey, seeds...),
-				elide.WithGossip(addr),
-				elide.WithGossipInterval(cfg.GossipInterval),
-				elide.WithSuspectTimeout(cfg.SuspectTimeout),
-			}
-		}
-	}
-
-	replicas := make([]*replica, cfg.Replicas)
-	fleetMetrics := make([]*obs.Registry, cfg.Replicas)
-	for i := range replicas {
-		fleetMetrics[i] = obs.NewRegistry()
-		replicas[i] = &replica{prot: prot, env: env, msrv: fleetMetrics[i], optsFor: gossipFor(fleetMetrics[i])}
-		if err := replicas[i].start(); err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			seed0 = replicas[0].addr
-		}
-	}
-	// The legacy replica: same enclave, no fleet key, no gossip — the
-	// PR-9-era binary that must keep working untouched.
-	legacyMetrics := obs.NewRegistry()
-	legacy := &replica{prot: prot, env: env, msrv: legacyMetrics}
-	if err := legacy.start(); err != nil {
+	gossipers, err := f.add(cfg.replicas, fleetKey, elide.WithServerAudit(fleetAudit))
+	if err != nil {
 		return nil, err
 	}
-	addedMetrics := obs.NewRegistry()
-	added := &replica{prot: prot, env: env, msrv: addedMetrics, optsFor: gossipFor(addedMetrics)}
-	defer func() {
-		for _, r := range replicas {
-			r.kill()
-		}
-		legacy.kill()
-		added.kill()
-	}()
+	seed := gossipers[0].addr
+	// The legacy replica: same enclave, no fleet key, no gossip. It must
+	// keep serving through the pool's static entries.
+	legacy, err := f.add(1, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	// Wait for the mesh to self-assemble from the single seed before any
 	// load: every member must see every other member.
+	if err := waitFor(30*time.Second, func() bool { return countStatus(seed, elide.MemberAlive) >= cfg.replicas }); err != nil {
+		return nil, fmt.Errorf("bench: mesh bootstrap: fleet view never reached %d alive members: %w", cfg.replicas, err)
+	}
+	users := newMachines(f, cfg.timeout)
+	pool := users.newPool(append(addrs(gossipers), legacy[0].addr))
 	memberCtx, memberCancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer memberCancel()
-	if err := waitFleetView(memberCtx, replicas[0].addr, cfg.Replicas); err != nil {
-		return nil, fmt.Errorf("bench: mesh bootstrap: %w", err)
-	}
-
-	poolMetrics := obs.NewRegistry()
-	clientMetrics := obs.NewRegistry()
-	runtimeMetrics := obs.NewRegistry()
-	churnMetrics := obs.NewRegistry()
-	clientOpts := []elide.FailoverOption{
-		elide.WithFailoverMetrics(poolMetrics),
-		elide.WithBreakerCooldown(200 * time.Millisecond),
-		elide.WithEndpointClientOptions(
-			elide.WithClientMetrics(clientMetrics),
-			elide.WithRetryBudget(1),
-			elide.WithRetryBackoff(10*time.Millisecond, 100*time.Millisecond),
-			elide.WithDialTimeout(10*time.Second),
-			elide.WithRequestTimeout(30*time.Second),
-		),
-	}
-	addrs := make([]string, 0, cfg.Replicas+1)
-	for _, r := range replicas {
-		addrs = append(addrs, r.addr)
-	}
-	addrs = append(addrs, legacy.addr)
-	pool := elide.NewEndpointPool(addrs, clientOpts...)
 	if err := pool.SyncMembership(memberCtx); err != nil {
 		return nil, fmt.Errorf("bench: initial membership sync: %w", err)
 	}
 	watchCtx, watchStop := context.WithCancel(context.Background())
 	defer watchStop()
-	pool.WatchMembership(watchCtx, cfg.GossipInterval)
+	pool.WatchMembership(watchCtx, cfg.gossipInterval)
 
 	// Pre-establish the sessions the cold-added member must later resume
 	// without re-attesting, and wait for the push layer to fan them out.
-	sessions := make([]resumeSession, cfg.Sessions)
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 	defer cancel()
-	for i := range sessions {
-		priv, pub, err := sdk.GenerateECDHKeypair()
-		if err != nil {
-			return nil, err
-		}
-		q, err := quoter.quoteFor(pub)
-		if err != nil {
-			return nil, err
-		}
-		c := elide.NewTCPClient(replicas[0].addr,
-			elide.WithProtocolVersion(elide.ProtoV1),
-			elide.WithDialTimeout(cfg.Timeout),
-			elide.WithRequestTimeout(cfg.Timeout))
-		spub, err := c.Attest(ctx, q, pub)
-		_ = c.Close()
-		if err != nil {
-			return nil, fmt.Errorf("bench: session %d attest: %w", i, err)
-		}
-		sessions[i] = resumeSession{priv: priv, pub: pub, quote: q, serverPub: spub}
+	sessions, err := quoter.openSessions(ctx, seed, cfg.sessions, cfg.timeout)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
-	for i := 1; i < cfg.Replicas; i++ {
-		if err := waitCounterAtLeast(fleetMetrics[i], "server.resume_replicated", uint64(cfg.Sessions), 15*time.Second); err != nil {
-			return nil, fmt.Errorf("bench: replica %d: %w", i, err)
+	for i, m := range gossipers[1:] {
+		replicated := m.metrics.Counter("server.resume_replicated")
+		if err := waitFor(15*time.Second, func() bool { return replicated.Load() >= uint64(cfg.sessions) }); err != nil {
+			return nil, fmt.Errorf("bench: replica %d holds %d/%d pushed sessions: %w", i+1, replicated.Load(), cfg.sessions, err)
 		}
 	}
 
 	res := &ChurnResult{
-		Program:  p.Name,
-		Replicas: cfg.Replicas,
-		Restores: cfg.Restores,
-		Workers:  cfg.Workers,
-		Sessions: cfg.Sessions,
-	}
-
-	var completed atomic.Int64
-	waitCompleted := func(n int) {
-		for int(completed.Load()) < n {
-			time.Sleep(5 * time.Millisecond)
-		}
+		Program:  Sha1.Name,
+		Replicas: cfg.replicas,
+		Restores: cfg.restores,
+		Workers:  cfg.workers,
+		Sessions: cfg.sessions,
 	}
 	poolSize := func() int { return len(pool.Endpoints()) }
-	victim := replicas[1]
+	victim := gossipers[1]
+	var added *member
 
 	// The controller runs the churn script in sequence; each step gates on
 	// restore progress so the fleet is under load when it changes shape.
@@ -286,86 +173,58 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 		ctlErr = func() error {
 			// 1/4: kill a member. The fleet must gossip it dead and the
 			// client pool must shed the endpoint on its own.
-			waitCompleted(cfg.Restores / 4)
+			users.waitDone(cfg.restores / 4)
 			res.PoolBeforeKill = poolSize()
-			victim.kill()
+			_ = victim.kill()
 			res.Kills++
-			if err := waitMemberStatus(replicas[0].addr, victim.addr, elide.MemberDead, 15*time.Second); err != nil {
+			if err := waitFor(15*time.Second, func() bool { return hasStatus(seed, victim.addr, elide.MemberDead) }); err != nil {
 				return fmt.Errorf("killed member never declared dead: %w", err)
 			}
-			if err := waitPoolSize(pool, res.PoolBeforeKill-1, 15*time.Second); err != nil {
-				return fmt.Errorf("pool kept the dead endpoint: %w", err)
+			if err := waitFor(15*time.Second, func() bool { return poolSize() == res.PoolBeforeKill-1 }); err != nil {
+				return fmt.Errorf("pool kept the dead endpoint (size %d): %w", poolSize(), err)
 			}
 			res.PoolAfterKill = poolSize()
 
-			// 1/2: cold-add a brand-new member seeded with replica 0 only.
+			// 1/2: cold-add a brand-new member seeded with member 0 only.
 			// It must learn the fleet, pull every resume record via
 			// anti-entropy, and then resume all the pre-established
 			// sessions without one attestation flight.
-			waitCompleted(cfg.Restores / 2)
-			if err := added.start(); err != nil {
+			users.waitDone(cfg.restores / 2)
+			ms, err := f.add(1, fleetKey, elide.WithServerAudit(fleetAudit))
+			if err != nil {
 				return fmt.Errorf("cold member start: %w", err)
 			}
+			added = ms[0]
 			res.Added++
 			t0 := time.Now()
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				if srv := added.server(); srv != nil && srv.ResumeLen() >= cfg.Sessions {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("cold member held %d/%d resume records after 30s",
-						added.server().ResumeLen(), cfg.Sessions)
-				}
-				time.Sleep(2 * time.Millisecond)
+			if err := waitFor(30*time.Second, func() bool { return added.server().ResumeLen() >= cfg.sessions }); err != nil {
+				return fmt.Errorf("cold member held %d/%d resume records: %w", added.server().ResumeLen(), cfg.sessions, err)
 			}
 			conv := time.Since(t0)
 			res.ConvergenceMs = float64(conv.Nanoseconds()) / 1e6
-			res.ConvergenceRounds = int(conv/cfg.GossipInterval) + 1
-			if err := waitPoolSize(pool, res.PoolAfterKill+1, 15*time.Second); err != nil {
-				return fmt.Errorf("pool never admitted the added member: %w", err)
+			res.ConvergenceRounds = int(conv/cfg.gossipInterval) + 1
+			if err := waitFor(15*time.Second, func() bool { return poolSize() == res.PoolAfterKill+1 }); err != nil {
+				return fmt.Errorf("pool never admitted the added member (size %d): %w", poolSize(), err)
 			}
 			res.PoolAfterAdd = poolSize()
 
 			// 3/4: the killed member comes back with a fresh incarnation
 			// and must out-bid its own death.
-			waitCompleted(3 * cfg.Restores / 4)
+			users.waitDone(3 * cfg.restores / 4)
 			if err := victim.start(); err != nil {
 				return fmt.Errorf("restart: %w", err)
 			}
 			res.Restarts++
-			if err := waitMemberStatus(replicas[0].addr, victim.addr, elide.MemberAlive, 15*time.Second); err != nil {
+			if err := waitFor(15*time.Second, func() bool { return hasStatus(seed, victim.addr, elide.MemberAlive) }); err != nil {
 				return fmt.Errorf("restarted member never revived: %w", err)
 			}
 			return nil
 		}()
 	}()
 
-	type jobResult struct {
-		outcome *elide.RestoreOutcome
-		err     error
-		wlErr   error
-	}
-	results := make([]jobResult, cfg.Restores)
-	jobs := make(chan int)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = runChaosJob(env, prot, p, pool, runtimeMetrics, churnMetrics, cfg.Timeout)
-				completed.Add(1)
-			}
-		}()
-	}
-	for i := 0; i < cfg.Restores; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	res.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6
+	tally, wall := users.run(pool, cfg.restores, cfg.workers)
+	res.restoreTally = tally
+	res.WallMs = float64(wall.Nanoseconds()) / 1e6
 	<-ctlDone
 	if ctlErr != nil {
 		return nil, fmt.Errorf("bench: churn controller: %w", ctlErr)
@@ -376,144 +235,65 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	// attestation flight it runs now is a downgrade — the delta must be 0.
 	// (Measured post-run because workers land full attests on it through
 	// the pool, which would falsely inflate a mid-run reading.)
-	attestsBefore := addedMetrics.Counter("server.attest_ok").Load()
+	attests := added.metrics.Counter("server.attest_ok")
+	attestsBefore := attests.Load()
+	wantMeta := f.prots[0].Meta.Marshal()
 	for i := range sessions {
-		ss := &sessions[i]
-		c := elide.NewTCPClient(added.addr,
-			elide.WithProtocolVersion(elide.ProtoV1),
-			elide.WithDialTimeout(cfg.Timeout),
-			elide.WithRequestTimeout(cfg.Timeout))
-		spub, err := c.ResumeAttest(ctx, ss.quote, ss.pub)
-		_ = c.Close()
+		resumed, _, err := sessions[i].resume(ctx, added.addr, cfg.timeout, wantMeta)
 		if err != nil {
-			return nil, fmt.Errorf("bench: session %d resume on the added member: %w", i, err)
+			return nil, fmt.Errorf("bench: session %d on the added member: %w", i, err)
 		}
-		if bytes.Equal(spub, ss.serverPub) {
+		if resumed {
 			res.AddedResumed++
 		}
 	}
-	res.AddedExtraAttestFlights = addedMetrics.Counter("server.attest_ok").Load() - attestsBefore
+	res.AddedExtraAttestFlights = attests.Load() - attestsBefore
 
 	// The legacy replica served static-pool traffic throughout; prove it
 	// still answers on its own.
-	legacyPool := elide.NewEndpointPool([]string{legacy.addr}, clientOpts...)
 	res.LegacyRestores = 4
-	for i := 0; i < res.LegacyRestores; i++ {
-		r := runChaosJob(env, prot, p, legacyPool, runtimeMetrics, churnMetrics, cfg.Timeout)
-		if r.err == nil && r.wlErr == nil {
-			res.LegacySucceeded++
-		}
-	}
-
-	for i := range results {
-		r := &results[i]
-		switch {
-		case r.err == nil && r.wlErr == nil:
-			res.Succeeded++
-		case r.err == nil:
-			res.WorkloadFailures++
-		case errors.Is(r.err, elide.ErrRestoreFailed),
-			errors.Is(r.err, context.DeadlineExceeded),
-			errors.Is(r.err, context.Canceled):
-			res.TypedFailures++
-		default:
-			res.UntypedFailures++
-		}
-	}
+	alone, _ := users.run(users.newPool([]string{legacy[0].addr}), res.LegacyRestores, 1)
+	res.LegacySucceeded = alone.Succeeded
 
 	audits := fleetAudit.Counts()
 	res.MemberJoins = audits[obs.AuditMemberJoin]
 	res.MemberSuspects = audits[obs.AuditMemberSuspect]
 	res.MemberDeaths = audits[obs.AuditMemberDead]
 	res.AntiEntropy = audits[obs.AuditAntiEntropy]
-	res.RestoreLatency = summarize(churnMetrics.Snapshot().Histograms["chaos.restore_ns"])
-	res.Counters = map[string]uint64{}
-	snaps := []obs.Snapshot{poolMetrics.Snapshot(), clientMetrics.Snapshot(),
-		runtimeMetrics.Snapshot(), legacyMetrics.Snapshot(), addedMetrics.Snapshot()}
-	for _, m := range fleetMetrics {
-		snaps = append(snaps, m.Snapshot())
-	}
-	for _, snap := range snaps {
-		for k, v := range snap.Counters {
-			res.Counters[k] += v
-		}
-	}
+	res.RestoreLatency = summarize(users.latency.Snapshot())
+	res.Counters = f.counters(users.pool, users.client, users.runtime)
 	return res, nil
 }
 
-// waitFleetView polls the membership query on addr until it reports
-// want alive members (the querying server included).
-func waitFleetView(ctx context.Context, addr string, want int) error {
-	for {
-		ms, err := queryMembers(ctx, addr)
-		if err == nil {
-			alive := 0
-			for _, m := range ms {
-				if m.Status == elide.MemberAlive {
-					alive++
-				}
-			}
-			if alive >= want {
-				return nil
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("fleet view never reached %d alive members: %w", want, ctx.Err())
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-}
-
-// waitMemberStatus polls addr's fleet view until member reaches st.
-func waitMemberStatus(addr, member string, st elide.MemberStatus, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// fleetView is addr's membership view: each member's status by address
+// (empty when addr does not answer).
+func fleetView(addr string) map[string]elide.MemberStatus {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	for {
-		ms, err := queryMembers(ctx, addr)
-		if err == nil {
-			for _, m := range ms {
-				if m.Addr == member && m.Status == st {
-					return nil
-				}
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("member %s never reached %s in %s's view", member, st, addr)
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-}
-
-func queryMembers(ctx context.Context, addr string) ([]elide.Member, error) {
 	c := elide.NewTCPClient(addr,
 		elide.WithDialTimeout(2*time.Second),
 		elide.WithRequestTimeout(2*time.Second))
 	defer func() { _ = c.Close() }()
-	return c.Members(ctx)
+	ms, _ := c.Members(ctx)
+	view := make(map[string]elide.MemberStatus, len(ms))
+	for _, m := range ms {
+		view[m.Addr] = m.Status
+	}
+	return view
 }
 
-func waitPoolSize(pool *elide.EndpointPool, want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if got := len(pool.Endpoints()); got == want {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("pool size %d, want %d", len(pool.Endpoints()), want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+// hasStatus reports whether addr's view lists member with status st.
+func hasStatus(addr, member string, st elide.MemberStatus) bool {
+	got, ok := fleetView(addr)[member]
+	return ok && got == st
 }
 
-func waitCounterAtLeast(m *obs.Registry, name string, want uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for m.Counter(name).Load() < want {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("counter %s = %d, want >= %d", name, m.Counter(name).Load(), want)
+func countStatus(addr string, st elide.MemberStatus) int {
+	n := 0
+	for _, s := range fleetView(addr) {
+		if s == st {
+			n++
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	return nil
+	return n
 }

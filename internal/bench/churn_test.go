@@ -14,21 +14,22 @@ import (
 // legacy replica kept working through the static pool path.
 func TestChurnBenchSmoke(t *testing.T) {
 	env := sharedEnv(t)
-	cfg := ChurnConfig{
-		Replicas:       3,
-		Restores:       24,
-		Workers:        4,
-		Sessions:       6,
-		GossipInterval: 15 * time.Millisecond,
-		SuspectTimeout: 100 * time.Millisecond,
+	cfg := churnCfg{
+		replicas:       3,
+		restores:       24,
+		workers:        4,
+		sessions:       6,
+		gossipInterval: 15 * time.Millisecond,
+		suspectTimeout: 100 * time.Millisecond,
+		timeout:        churnFull.timeout,
 	}
 	if testing.Short() {
-		cfg.Replicas = 2
-		cfg.Restores = 8
-		cfg.Workers = 2
-		cfg.Sessions = 4
+		cfg.replicas = 2
+		cfg.restores = 8
+		cfg.workers = 2
+		cfg.sessions = 4
 	}
-	res, err := ChurnBench(env, cfg)
+	res, err := churnBench(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

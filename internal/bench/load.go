@@ -3,21 +3,18 @@ package bench
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"sgxelide/internal/elide"
 	"sgxelide/internal/obs"
 	"sgxelide/internal/sdk"
-	"sgxelide/internal/sgx"
 )
 
-// LoadBenchConfig drives the open-loop load benchmark: Restores protocol
-// runs arrive at a fixed Rate against one TCP authentication server,
+// loadCfg sizes the open-loop load scenario: restores protocol runs
+// arrive at a fixed rate against one TCP authentication server,
 // regardless of how fast earlier runs complete. Open-loop arrival is the
 // point — a closed loop (start the next restore when the last returns)
 // self-throttles exactly when the server slows down, hiding the latency
@@ -28,14 +25,14 @@ import (
 // metadata and data — but driven by a Go protocol client rather than an
 // enclave ecall, so one process can offer tens of thousands of restores.
 // The enclave is loaded once, for quote generation.
-type LoadBenchConfig struct {
-	Program     string        // benchmark name (see All); default "Sha1"
-	Rate        float64       // arrivals per second; default 500
-	Restores    int           // total arrivals per protocol run; default 10000
-	MaxSessions int           // server concurrent-session cap; default 1024
-	Timeout     time.Duration // per-restore deadline; default 30s
-	SkipLegacy  bool          // measure only the pipelined protocol
+type loadCfg struct {
+	rate        float64       // arrivals per second
+	restores    int           // total arrivals per protocol run
+	maxSessions int           // server concurrent-session cap
+	timeout     time.Duration // per-restore deadline
 }
+
+var loadFull = loadCfg{rate: 500, restores: 10000, maxSessions: 1024, timeout: 30 * time.Second}
 
 // LoadRunResult is one protocol variant's slice of the load benchmark.
 type LoadRunResult struct {
@@ -88,7 +85,7 @@ type LoadBenchResult struct {
 	MaxSessions int     `json:"max_sessions"`
 
 	Pipelined *LoadRunResult `json:"pipelined"`
-	Legacy    *LoadRunResult `json:"legacy,omitempty"`
+	Legacy    *LoadRunResult `json:"legacy"`
 
 	// P50SpeedupX is legacy p50 latency over pipelined p50 latency —
 	// the round-trip collapse measured, not asserted.
@@ -102,143 +99,68 @@ func (r *LoadBenchResult) String() string {
 			run.Protocol, run.Completed, run.Offered, run.Errors, run.Overloaded, run.WallMs,
 			run.AchievedRPS, run.FlightsPerRestore, run.Latency.P50Us, run.Latency.P99Us)
 	}
-	s := fmt.Sprintf("load bench: %s, %d restores offered at %.0f rps (cap %d)\n%s",
-		r.Program, r.Restores, r.RateRPS, r.MaxSessions, line(r.Pipelined))
-	if r.Legacy != nil {
-		s += "\n" + line(r.Legacy)
-		s += fmt.Sprintf("\n  pipelined p50 speedup: %.2fx", r.P50SpeedupX)
-	}
-	return s
+	return fmt.Sprintf("load bench: %s, %d restores offered at %.0f rps (cap %d)\n%s\n%s\n  pipelined p50 speedup: %.2fx",
+		r.Program, r.Restores, r.RateRPS, r.MaxSessions, line(r.Pipelined), line(r.Legacy), r.P50SpeedupX)
 }
 
-// LoadBench builds one protected program, serves it over TCP, and offers
-// cfg.Restores protocol runs at cfg.Rate arrivals/second — once with the
-// pipelined (ProtoV1) protocol and, unless SkipLegacy, once with the
-// legacy sequential protocol against the same server, so the two runs
-// compare round-trip counts and latency under identical load.
-func LoadBench(env *Env, cfg LoadBenchConfig) (*LoadBenchResult, error) {
-	if cfg.Program == "" {
-		cfg.Program = "Sha1"
-	}
-	if cfg.Rate <= 0 {
-		cfg.Rate = 500
-	}
-	if cfg.Restores <= 0 {
-		cfg.Restores = 10000
-	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 1024
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	p, err := ByName(cfg.Program)
+// loadBench builds Sha1, serves it over TCP, and offers cfg.restores
+// protocol runs at cfg.rate arrivals/second — once with the pipelined
+// (ProtoV1) protocol and once with the paper's sequential three-flight
+// protocol, each against a fresh server, so the two runs compare
+// round-trip counts and latency under identical load.
+func loadBench(env *Env, cfg loadCfg) (*LoadBenchResult, error) {
+	f, err := newFleet(env, elide.SanitizeOptions{}, Sha1)
 	if err != nil {
 		return nil, err
 	}
-	prot, err := BuildProtected(env, p, elide.SanitizeOptions{})
-	if err != nil {
-		return nil, err
-	}
-
 	// One enclave load supplies quotes for every simulated machine: the
 	// quote binds the per-run ECDH key through report data, so each run
 	// still produces its own fresh quote, but over the same measurement.
-	quoter, err := newQuoteFactory(env, prot)
+	quoter, err := newQuoteFactory(env, f.prots[0])
 	if err != nil {
 		return nil, err
 	}
-
 	res := &LoadBenchResult{
-		Program:     p.Name,
-		RateRPS:     cfg.Rate,
-		Restores:    cfg.Restores,
-		MaxSessions: cfg.MaxSessions,
+		Program:     Sha1.Name,
+		RateRPS:     cfg.rate,
+		Restores:    cfg.restores,
+		MaxSessions: cfg.maxSessions,
 	}
-	res.Pipelined, err = loadRun(env, prot, quoter, cfg, elide.ProtoV1)
-	if err != nil {
+	if res.Pipelined, err = loadRun(f, quoter, cfg, elide.ProtoV1); err != nil {
 		return nil, err
 	}
-	if !cfg.SkipLegacy {
-		res.Legacy, err = loadRun(env, prot, quoter, cfg, elide.ProtoLegacy)
-		if err != nil {
-			return nil, err
-		}
-		if res.Pipelined.Latency.P50Us > 0 {
-			res.P50SpeedupX = res.Legacy.Latency.P50Us / res.Pipelined.Latency.P50Us
-		}
+	if res.Legacy, err = loadRun(f, quoter, cfg, elide.ProtoLegacy); err != nil {
+		return nil, err
+	}
+	if res.Pipelined.Latency.P50Us > 0 {
+		res.P50SpeedupX = res.Legacy.Latency.P50Us / res.Pipelined.Latency.P50Us
 	}
 	return res, nil
 }
 
-// quoteFactory mints platform-signed quotes binding caller-supplied ECDH
-// public keys to the protected program's measurement.
-type quoteFactory struct {
-	host *sdk.Host
-	encl *sdk.Enclave
-}
-
-func newQuoteFactory(env *Env, prot *elide.Protected) (*quoteFactory, error) {
-	// The enclave is loaded only for report generation; its runtime client
-	// never speaks (the load clients below drive the protocol directly).
-	srv, err := prot.NewServerFor(env.CA)
-	if err != nil {
-		return nil, err
-	}
-	encl, _, err := prot.Launch(env.Host, &elide.DirectClient{Session: srv.NewSession()}, prot.LocalFiles())
-	if err != nil {
-		return nil, err
-	}
-	return &quoteFactory{host: env.Host, encl: encl}, nil
-}
-
-// quoteFor produces a fresh quote whose report data binds pub.
-func (q *quoteFactory) quoteFor(pub []byte) (*sgx.Quote, error) {
-	var rdata [sgx.ReportDataSize]byte
-	binding := sha256.Sum256(pub)
-	copy(rdata[:], binding[:])
-	report, err := q.host.Platform.EReport(q.encl.Encl, sgx.QETargetInfo(), rdata)
-	if err != nil {
-		return nil, err
-	}
-	return q.host.Platform.QuoteReport(report)
-}
-
-// loadRun offers cfg.Restores arrivals at cfg.Rate against a fresh server
-// with the given protocol version and collects one LoadRunResult.
-func loadRun(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg LoadBenchConfig, proto uint8) (*LoadRunResult, error) {
-	serverMetrics := obs.NewRegistry()
+// loadRun offers cfg.restores arrivals at cfg.rate against a new fleet
+// member with the given protocol version and collects one LoadRunResult.
+func loadRun(f *Fleet, quoter *quoteFactory, cfg loadCfg, proto uint8) (*LoadRunResult, error) {
 	clientMetrics := obs.NewRegistry()
 	clientTracer := obs.NewTracer(0)
 	clientTracer.SetService("client")
 	serverTracer := obs.NewTracer(0)
 	serverTracer.SetService("server")
-	srv, err := prot.NewServerFor(env.CA,
-		elide.WithMaxSessions(cfg.MaxSessions),
-		elide.WithServerMetrics(serverMetrics),
-		elide.WithServerTracer(serverTracer),
-	)
+	ms, err := f.add(1, nil, elide.WithMaxSessions(cfg.maxSessions), elide.WithServerTracer(serverTracer))
 	if err != nil {
 		return nil, err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, l) }()
+	srv := ms[0]
 
 	name := "legacy"
 	if proto >= elide.ProtoV1 {
 		name = "pipelined"
 	}
-	run := &LoadRunResult{Protocol: name, Offered: cfg.Restores}
-	wantMeta := prot.Meta.Marshal()
+	run := &LoadRunResult{Protocol: name, Offered: cfg.restores}
+	wantMeta := f.prots[0].Meta.Marshal()
 
 	latency := obs.NewHistogram()
-	injectWall := time.Duration(float64(cfg.Restores)/cfg.Rate*float64(time.Second)) + cfg.Timeout
+	injectWall := time.Duration(float64(cfg.restores)/cfg.rate*float64(time.Second)) + cfg.timeout
 	start := time.Now()
 	completions := obs.NewSeries(start, int(injectWall/time.Second)+1, time.Second)
 
@@ -250,8 +172,8 @@ func loadRun(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg LoadBenc
 		overloaded int
 		firstErr   error
 	)
-	interval := time.Duration(float64(time.Second) / cfg.Rate)
-	for i := 0; i < cfg.Restores; i++ {
+	interval := time.Duration(float64(time.Second) / cfg.rate)
+	for i := 0; i < cfg.restores; i++ {
 		// Open loop: arrival i fires at start + i*interval whether or not
 		// earlier arrivals have finished.
 		if d := time.Until(start.Add(time.Duration(i) * interval)); d > 0 {
@@ -261,7 +183,7 @@ func loadRun(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg LoadBenc
 		go func() {
 			defer wg.Done()
 			arrived := time.Now()
-			err := oneProtocolRestore(env, quoter, l.Addr().String(), clientMetrics, clientTracer, cfg.Timeout, proto, wantMeta)
+			err := oneProtocolRestore(quoter, srv.addr, clientMetrics, clientTracer, cfg.timeout, proto, wantMeta)
 			mu.Lock()
 			defer mu.Unlock()
 			if err == nil {
@@ -280,8 +202,7 @@ func loadRun(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg LoadBenc
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	cancel()
-	if err := <-served; err != nil && !errors.Is(err, elide.ErrServerClosed) {
+	if err := srv.kill(); err != nil {
 		return nil, err
 	}
 	if completed == 0 {
@@ -299,10 +220,7 @@ func loadRun(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg LoadBenc
 	run.WallMs = float64(wall.Nanoseconds()) / 1e6
 	run.AchievedRPS = float64(completed) / wall.Seconds()
 	csnap := clientMetrics.Snapshot()
-	ssnap := serverMetrics.Snapshot()
-	if flights := csnap.Counters["client.flights"]; completed > 0 {
-		run.FlightsPerRestore = float64(flights) / float64(completed)
-	}
+	run.FlightsPerRestore = float64(csnap.Counters["client.flights"]) / float64(completed)
 	hsnap := latency.Snapshot()
 	run.Latency = LoadLatency{
 		LatencySummary: summarize(hsnap),
@@ -315,7 +233,7 @@ func loadRun(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg LoadBenc
 	}
 	run.ThroughputRPS = rates
 	run.ClientCounters = csnap.Counters
-	run.ServerCounters = ssnap.Counters
+	run.ServerCounters = srv.metrics.Snapshot().Counters
 	run.PhaseLatency = phaseLatency(append(clientTracer.Completed(), serverTracer.Completed()...))
 	return run, nil
 }
@@ -355,7 +273,7 @@ func phaseLatency(recs []obs.SpanRecord) map[string]map[string]LatencySummary {
 // oneProtocolRestore is one simulated user machine's restore: fresh ECDH
 // keypair, fresh quote, own TCP connection, full protocol, results
 // verified against the deployment's real metadata.
-func oneProtocolRestore(env *Env, quoter *quoteFactory, addr string, metrics *obs.Registry, tracer *obs.Tracer, timeout time.Duration, proto uint8, wantMeta []byte) error {
+func oneProtocolRestore(quoter *quoteFactory, addr string, metrics *obs.Registry, tracer *obs.Tracer, timeout time.Duration, proto uint8, wantMeta []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	// One root span per simulated machine: the transport's attest/request

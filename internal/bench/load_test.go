@@ -1,6 +1,11 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -12,11 +17,11 @@ import (
 // legacy protocol in three.
 func TestLoadBenchSmoke(t *testing.T) {
 	env := sharedEnv(t)
-	res, err := LoadBench(env, LoadBenchConfig{
-		Program:  "Sha1",
-		Rate:     200,
-		Restores: 30,
-		Timeout:  30 * time.Second,
+	res, err := loadBench(env, loadCfg{
+		rate:        200,
+		restores:    30,
+		maxSessions: loadFull.maxSessions,
+		timeout:     30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,5 +50,56 @@ func TestLoadBenchSmoke(t *testing.T) {
 	}
 	if res.Pipelined.ClientCounters["client.bundle_hits"] == 0 {
 		t.Error("pipelined run served no requests from the bundle cache")
+	}
+}
+
+// TestLoadBaselineSchema keeps the committed three-flight baseline
+// comparable: BENCH_load.json must decode into the load scenario's result
+// type with no unknown field, and re-encoding must reproduce the file's
+// top-level and per-run key sets exactly (no field dropped or renamed).
+func TestLoadBaselineSchema(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_load.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var res LoadBenchResult
+	if err := dec.Decode(&res); err != nil {
+		t.Fatalf("BENCH_load.json does not decode into LoadBenchResult: %v", err)
+	}
+	again, err := json.Marshal(&res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(doc []byte) map[string][]string {
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(doc, &top); err != nil {
+			t.Fatal(err)
+		}
+		sets := map[string][]string{}
+		for k, v := range top {
+			sets[""] = append(sets[""], k)
+			if k == "pipelined" || k == "legacy" {
+				var run map[string]json.RawMessage
+				if err := json.Unmarshal(v, &run); err != nil {
+					t.Fatal(err)
+				}
+				for rk := range run {
+					sets[k] = append(sets[k], rk)
+				}
+			}
+		}
+		for _, s := range sets {
+			sort.Strings(s)
+		}
+		return sets
+	}
+	want, got := keys(raw), keys(again)
+	if len(want["pipelined"]) == 0 || len(want["legacy"]) == 0 {
+		t.Fatalf("baseline lacks a run: %v", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("key sets differ:\n got  %v\n want %v", got, want)
 	}
 }

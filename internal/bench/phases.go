@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -12,13 +16,10 @@ import (
 	"sgxelide/internal/sgx"
 )
 
-// PhasesBenchConfig drives the per-phase restore breakdown: Iters traced
-// launches of Program in each data mode, every launch on a fresh simulated
-// machine (the paper measures cold launches).
-type PhasesBenchConfig struct {
-	Program string // benchmark name (see All); default "Sha1"
-	Iters   int    // traced launches per mode; default 10
-}
+// phasesIters is the phases scenario's traced launches of Sha1 per data
+// mode, every launch on a fresh simulated machine (the paper measures cold
+// launches).
+const phasesIters = 10
 
 // PhaseModeResult is one data mode's breakdown: a latency summary per
 // pipeline phase (attest, request_meta, request_data, decrypt, restore,
@@ -33,8 +34,8 @@ type PhaseModeResult struct {
 	Total        LatencySummary            `json:"total_restore"`
 }
 
-// PhasesBenchResult is the JSON document elide-bench writes to
-// BENCH_restore_phases.json: where the restore time of Table 2 actually
+// PhasesBenchResult is the JSON document the phases scenario writes to
+// BENCH_phases.json: where the restore time of Table 2 actually
 // goes — attestation vs data fetch vs decrypt vs the memcpy restore.
 type PhasesBenchResult struct {
 	Program string            `json:"program"`
@@ -144,21 +145,12 @@ func traceIDOf(tr *obs.Tracer) uint64 {
 	return 0
 }
 
-// PhasesBench measures the per-phase restore latency breakdown in both
-// data modes. Each iteration is an independent traced launch; per-phase
-// durations come from the launch's span records.
-func PhasesBench(env *Env, cfg PhasesBenchConfig) (*PhasesBenchResult, error) {
-	if cfg.Program == "" {
-		cfg.Program = "Sha1"
-	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 10
-	}
-	p, err := ByName(cfg.Program)
-	if err != nil {
-		return nil, err
-	}
-	res := &PhasesBenchResult{Program: p.Name, Iters: cfg.Iters}
+// phasesBench measures the per-phase restore latency breakdown of Sha1 in
+// both data modes. Each iteration is an independent traced launch;
+// per-phase durations come from the launch's span records.
+func phasesBench(env *Env, iters int) (*PhasesBenchResult, error) {
+	p := Sha1
+	res := &PhasesBenchResult{Program: p.Name, Iters: iters}
 	for _, mode := range []struct {
 		name string
 		san  elide.SanitizeOptions
@@ -181,7 +173,7 @@ func PhasesBench(env *Env, cfg PhasesBenchConfig) (*PhasesBenchResult, error) {
 			}
 			h.Observe(d)
 		}
-		for i := 0; i < cfg.Iters; i++ {
+		for i := 0; i < iters; i++ {
 			recs, err := tracedLaunch(env, prot, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s iter %d: %w", mode.name, i, err)
@@ -230,17 +222,6 @@ func splitBySvc(recs []obs.SpanRecord) (client, server []obs.SpanRecord) {
 	return client, server
 }
 
-// TraceDemo runs a single traced local-data restore and returns the
-// rendered span tree — the quickest way to see the whole pipeline,
-// including the server hop's session spans joined into the client's trace.
-func TraceDemo(env *Env) (string, error) {
-	demo, err := ObsDemo(env)
-	if err != nil {
-		return "", err
-	}
-	return demo.Tree, nil
-}
-
 // ObsDemoResult is one fully observed restore: the merged cross-process
 // span records, the rendered tree, and the audit events the run produced —
 // the sample artifacts CI uploads so a schema change is visible in review.
@@ -250,14 +231,10 @@ type ObsDemoResult struct {
 	Audit *obs.AuditLog
 }
 
-// ObsDemo runs a single traced, audited local-data restore and returns
+// obsDemo runs a single traced, audited local-data restore and returns
 // every observability artifact it produced.
-func ObsDemo(env *Env) (*ObsDemoResult, error) {
-	p, err := ByName("Sha1")
-	if err != nil {
-		return nil, err
-	}
-	prot, err := BuildProtected(env, p, elide.SanitizeOptions{EncryptLocal: true})
+func obsDemo(env *Env) (*ObsDemoResult, error) {
+	prot, err := BuildProtected(env, Sha1, elide.SanitizeOptions{EncryptLocal: true})
 	if err != nil {
 		return nil, err
 	}
@@ -267,4 +244,34 @@ func ObsDemo(env *Env) (*ObsDemoResult, error) {
 		return nil, err
 	}
 	return &ObsDemoResult{Tree: obs.RenderTree(recs), Spans: recs, Audit: audit}, nil
+}
+
+func (r *ObsDemoResult) String() string { return r.Tree }
+
+// writeArtifacts writes the merged trace as JSONL to out and the audit
+// stream to BENCH_audit.jsonl beside it, then checks the audit file
+// against the same schema gate CI applies to it.
+func (r *ObsDemoResult) writeArtifacts(out string) error {
+	var trace bytes.Buffer
+	enc := json.NewEncoder(&trace)
+	for _, rec := range r.Spans {
+		if err := enc.Encode(rec); err != nil {
+			return err
+		}
+	}
+	if err := os.WriteFile(out, trace.Bytes(), 0o644); err != nil {
+		return err
+	}
+	var audit bytes.Buffer
+	if err := r.Audit.WriteJSONL(&audit); err != nil {
+		return err
+	}
+	auditPath := filepath.Join(filepath.Dir(out), "BENCH_audit.jsonl")
+	if err := os.WriteFile(auditPath, audit.Bytes(), 0o644); err != nil {
+		return err
+	}
+	if _, err := obs.ValidateAuditJSONL(&audit); err != nil {
+		return fmt.Errorf("%s failed schema validation: %w", auditPath, err)
+	}
+	return nil
 }

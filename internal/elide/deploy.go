@@ -105,17 +105,31 @@ func BuildProtected(h *sdk.Host, opts BuildProtectedOptions) (*Protected, error)
 // pinning the given attestation CA. Options configure the serving policy
 // (session cap, timeouts, metrics).
 func (p *Protected) NewServerFor(ca *sgx.CA, opts ...ServerOption) (*Server, error) {
-	cfg := ServerConfig{
+	return NewServer(ServerConfig{
 		CAPub:             ca.PublicKey(),
 		ExpectedMrEnclave: p.Measurement,
 		Meta:              p.Meta,
-	}
+		SecretPlain:       p.serverPlain(),
+	}, opts...)
+}
+
+// Register adds this deployment to a multi-enclave store under name, with
+// the same secrets NewServerFor would serve.
+func (p *Protected) Register(st *SecretStore, name string) (*SecretEntry, error) {
+	return st.Register(p.Measurement, p.Meta, p.serverPlain(), name)
+}
+
+// serverPlain is what the server holds that the user machine cannot: all
+// of the data in remote mode, the plaintext copy in hybrid mode, nothing
+// in local mode.
+func (p *Protected) serverPlain() []byte {
 	if !p.Meta.Encrypted {
-		cfg.SecretPlain = p.SecretData
-	} else if p.Meta.Hybrid {
-		cfg.SecretPlain = p.SecretPlain
+		return p.SecretData
 	}
-	return NewServer(cfg, opts...)
+	if p.Meta.Hybrid {
+		return p.SecretPlain
+	}
+	return nil
 }
 
 // LocalFiles returns the file store a user machine would hold: the

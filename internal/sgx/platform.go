@@ -79,8 +79,7 @@ type Config struct {
 // provisioned quoting enclave.
 type Platform struct {
 	cfg     Config
-	epc     []epcPage
-	free    []int    // free page indexes
+	inUse   int      // EPC pages currently held by enclaves
 	fuseKey [32]byte // hardware secret fused into the CPU
 	meeKey  [32]byte // memory encryption engine key (boot-random)
 
@@ -95,11 +94,7 @@ func NewPlatform(cfg Config, ca *CA) (*Platform, error) {
 	if cfg.EPCPages == 0 {
 		cfg.EPCPages = 32768
 	}
-	p := &Platform{cfg: cfg, epc: make([]epcPage, cfg.EPCPages)}
-	p.free = make([]int, cfg.EPCPages)
-	for i := range p.free {
-		p.free[i] = cfg.EPCPages - 1 - i
-	}
+	p := &Platform{cfg: cfg}
 	if _, err := rand.Read(p.fuseKey[:]); err != nil {
 		return nil, fmt.Errorf("sgx: fusing platform key: %w", err)
 	}
@@ -120,32 +115,26 @@ func NewPlatform(cfg Config, ca *CA) (*Platform, error) {
 }
 
 // FreePages returns the number of unallocated EPC pages.
-func (p *Platform) FreePages() int { return len(p.free) }
+func (p *Platform) FreePages() int { return p.cfg.EPCPages - p.inUse }
 
 // SGX2 reports whether the EMODPR-style extension is enabled.
 func (p *Platform) SGX2() bool { return p.cfg.SGX2 }
 
-// allocPage takes a free EPC page.
+// allocPage allocates an EPC page, counting it against Config.EPCPages.
+// Pages are allocated on demand, so an idle platform costs no EPC memory.
 func (p *Platform) allocPage() (*epcPage, error) {
-	if len(p.free) == 0 {
+	if p.inUse >= p.cfg.EPCPages {
 		return nil, fmt.Errorf("sgx: EPC exhausted")
 	}
-	idx := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	pg := &p.epc[idx]
-	*pg = epcPage{}
-	return pg, nil
+	p.inUse++
+	return &epcPage{}, nil
 }
 
-// freePage returns a page to the pool.
+// freePage returns a page's slot to the EPC budget. The page itself is
+// dropped; its enclave no longer references it.
 func (p *Platform) freePage(pg *epcPage) {
-	for i := range p.epc {
-		if &p.epc[i] == pg {
-			p.epc[i] = epcPage{}
-			p.free = append(p.free, i)
-			return
-		}
-	}
+	*pg = epcPage{}
+	p.inUse--
 }
 
 // deriveKey derives a platform-bound key: HMAC-SHA256(fuseKey, purpose ||

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
+	"runtime"
 	"testing"
 
 	"sgxelide/internal/evm"
@@ -225,6 +226,29 @@ func TestEPCExhaustionAndDestroy(t *testing.T) {
 	p.Destroy(e)
 	if p.FreePages() != 4 {
 		t.Errorf("free pages after destroy = %d", p.FreePages())
+	}
+}
+
+// TestNewPlatformAllocatesSparsely pins that a default platform does not
+// preallocate its EPC: the full 32768-page array alone would be ~129 MiB,
+// which is what made many-machine tests run out of memory.
+func TestNewPlatformAllocatesSparsely(t *testing.T) {
+	ca, err := NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := NewPlatform(Config{}, ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("NewPlatform allocated %d bytes, want < 1 MiB", got)
+	}
+	if p.FreePages() != 32768 {
+		t.Fatalf("free pages = %d, want the default 32768", p.FreePages())
 	}
 }
 
