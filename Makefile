@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: build build-vet verify vet-security fmt-check test race chaos load-smoke resume-smoke churn-smoke bench-frames bench-obs obs-demo clean
+.PHONY: build build-vet verify vet-security fmt-check test race restore-budget chaos load-smoke resume-smoke churn-smoke bench-frames bench-obs obs-demo clean
 
 build:
 	$(GO) build ./...
 
 # Tier-1 verification (see ROADMAP.md): formatting, build, vet (stdlib
 # analyzers plus the elide-vet secrecy suite), full tests, the race
-# detector over the transport-heavy packages and the tracer, and
-# short-mode chaos and load smoke runs.
+# detector over the transport-heavy packages and the tracer, the restore
+# instruction budget, and short-mode chaos and load smoke runs.
 verify: fmt-check build
 	$(GO) vet ./...
 	$(MAKE) vet-security
@@ -16,6 +16,7 @@ verify: fmt-check build
 	$(GO) test -race ./internal/elide/... ./internal/sdk/...
 	$(GO) test -race ./internal/obs/...
 	$(MAKE) bench-obs
+	$(MAKE) restore-budget
 	$(MAKE) chaos
 	$(MAKE) load-smoke
 	$(MAKE) resume-smoke
@@ -44,6 +45,14 @@ test:
 
 race:
 	$(GO) test -race ./internal/elide/... ./internal/sdk/... ./internal/obs/...
+
+# Restore-cost gate: EVM instructions retired by elide_restore for each
+# of the seven programs in remote- and local-data mode, against the
+# committed internal/bench/testdata/restore_insns.json. Fails on any count
+# above (or below: lower the file) its baseline and on two runs of one
+# deployment disagreeing; -v prints the per-program table.
+restore-budget:
+	$(GO) test -run TestRestoreInstructionBudget -v ./internal/bench/
 
 # Scaled-down chaos smoke: replicated servers, a mid-run kill + restart,
 # scripted connection faults; every restore must succeed or fail typed.

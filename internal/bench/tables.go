@@ -209,37 +209,48 @@ func Figures(env *Env, local bool, iters int) ([]FigureRow, error) {
 		}
 
 		// Plain SGX baseline, rebuilt per run like ./app would reload it.
-		var baseTimes, protTimes []time.Duration
-		for i := 0; i < iters; i++ {
-			start := time.Now()
+		runBaseline := func() error {
 			encl, err := BuildBaselineLoadOnly(env, p)
 			if err != nil {
-				return nil, err
+				return err
 			}
+			defer encl.Destroy()
 			if err := p.Workload(env.Host, encl); err != nil {
-				encl.Destroy()
-				return nil, fmt.Errorf("%s baseline: %w", p.Name, err)
+				return fmt.Errorf("%s baseline: %w", p.Name, err)
 			}
-			encl.Destroy()
-			baseTimes = append(baseTimes, time.Since(start))
+			return nil
 		}
-		for i := 0; i < iters; i++ {
-			start := time.Now()
+		runProtected := func() error {
 			encl, rt, err := prot.Launch(env.Host, &elide.DirectClient{Session: srv.NewSession()}, prot.LocalFiles())
 			if err != nil {
-				return nil, err
+				return err
 			}
+			defer encl.Destroy()
 			code, err := encl.ECall("elide_restore", 0)
 			if err != nil || code != elide.RestoreOKServer {
-				encl.Destroy()
-				return nil, fmt.Errorf("%s: restore: %d %v (%v)", p.Name, code, err, rt.LastErr())
+				return fmt.Errorf("%s: restore: %d %v (%v)", p.Name, code, err, rt.LastErr())
 			}
 			if err := p.Workload(env.Host, encl); err != nil {
-				encl.Destroy()
-				return nil, fmt.Errorf("%s protected: %w", p.Name, err)
+				return fmt.Errorf("%s protected: %w", p.Name, err)
 			}
-			encl.Destroy()
-			protTimes = append(protTimes, time.Since(start))
+			return nil
+		}
+		// The two sides alternate, and which goes first alternates too, so
+		// drift in the machine's speed over the run lands on both equally.
+		var baseTimes, protTimes []time.Duration
+		sides := []struct {
+			run   func() error
+			times *[]time.Duration
+		}{{runBaseline, &baseTimes}, {runProtected, &protTimes}}
+		for i := 0; i < iters; i++ {
+			for j := range sides {
+				side := sides[(i+j)%2]
+				start := time.Now()
+				if err := side.run(); err != nil {
+					return nil, err
+				}
+				*side.times = append(*side.times, time.Since(start))
+			}
 		}
 		base := median(baseTimes)
 		protMs := median(protTimes)

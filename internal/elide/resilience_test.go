@@ -1,7 +1,9 @@
 package elide
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -168,6 +170,66 @@ func TestSealedCorruptTypedAndReseal(t *testing.T) {
 	}
 	if got, err := encl3.ECall("ecall_compute", 5); err != nil || got != secretTransformGo(5) {
 		t.Fatalf("sealed restore computes wrong: %d, %v", got, err)
+	}
+}
+
+// TestSealedForgedLengthFallsBack: the sealed header's dlen is read before
+// the blob is authenticated, so a forged one must classify as corrupt
+// rather than size a malloc that aborts the enclave. A huge dlen would run
+// the trusted heap dry; a dlen that makes 64+28+dlen wrap around to the
+// length of a short file would pass a naive total-length check.
+func TestSealedForgedLengthFallsBack(t *testing.T) {
+	ca, h := env(t)
+	p := buildApp(t, h, SanitizeOptions{})
+	srv, err := p.NewServerFor(ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encl, rt, err := p.Launch(h, &DirectClient{Session: srv.NewSession()}, p.LocalFiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, err := encl.ECall("elide_restore", FlagSealAfter); err != nil || code != RestoreOKServer {
+		t.Fatalf("seeding restore: %d %v", code, err)
+	}
+	sealed := rt.Files.Sealed
+
+	huge := append([]byte(nil), sealed...)
+	huge[6] = 0x7f
+	wrapping := append([]byte(nil), sealed[:80]...)
+	binary.LittleEndian.PutUint64(wrapping, uint64(len(wrapping))-92) // 64+28+dlen == 80 mod 2^64
+
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{{"huge", huge}, {"wrapping", wrapping}} {
+		t.Run(tc.name, func(t *testing.T) {
+			encl, rt, err := p.Launch(h, &DirectClient{Session: srv.NewSession()}, &FileStore{Sealed: tc.blob})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer encl.Destroy()
+			out, err := RestoreResilient(context.Background(), encl, rt, RestoreOptions{})
+			if err != nil {
+				t.Fatalf("forged sealed header aborted the restore: %v", err)
+			}
+			if out.Code != RestoreOKServer || out.Source != "server" {
+				t.Fatalf("outcome = code %d source %q, want network fallback", out.Code, out.Source)
+			}
+			sawCorrupt := false
+			for _, e := range out.Events {
+				sawCorrupt = sawCorrupt || errors.Is(e, ErrSealedCorrupt)
+			}
+			if !sawCorrupt {
+				t.Fatalf("no ErrSealedCorrupt among events %v", out.Events)
+			}
+			if len(rt.Files.Sealed) == 0 || bytes.Equal(rt.Files.Sealed, tc.blob) {
+				t.Fatal("forged blob was not replaced by a fresh seal")
+			}
+			if got, err := encl.ECall("ecall_compute", 7); err != nil || got != secretTransformGo(7) {
+				t.Fatalf("fallback restore computes wrong: %d, %v", got, err)
+			}
+		})
 	}
 }
 

@@ -43,6 +43,7 @@ int sgx_ecdh_keypair(uint8_t* priv, uint8_t* pub);
 int sgx_ecdh_shared(uint8_t* priv, uint8_t* peer, uint8_t* key);
 int sgx_rijndael128GCM_encrypt(uint8_t* key, uint8_t* src, uint64_t len, uint8_t* dst, uint8_t* iv, uint8_t* mac);
 int sgx_rijndael128GCM_decrypt(uint8_t* key, uint8_t* src, uint64_t len, uint8_t* dst, uint8_t* iv, uint8_t* mac);
+int sgx_zeroize(uint8_t* buf, uint64_t len);
 void* memcpy(void* d, void* s, uint64_t n);
 void* malloc(uint64_t n);
 
@@ -60,9 +61,11 @@ uint64_t elide_sealed_corrupt;
 /* elide_wipe zeroizes secret-bearing memory before it is released or a
  * function returns: decrypted plaintext, seal/channel keys, and the ECDH
  * private key must not outlive their use inside the enclave heap/stack
- * (a later memory-disclosure bug or a dump would recover them). */
+ * (a later memory-disclosure bug or a dump would recover them). The
+ * zeroing is the tcrypto memset_s stub: its cost in instructions does not
+ * grow with the buffer, and no optimizer can drop it as dead stores. */
 void elide_wipe(uint8_t* p, uint64_t n) {
-    for (uint64_t i = 0; i < n; i++) p[i] = 0;
+    sgx_zeroize(p, n);
 }
 
 /* elide_channel_setup attests to the server and derives the channel key:
@@ -172,12 +175,16 @@ uint64_t elide_try_sealed(void) {
     uint64_t textlen;
     n = elide_read_file(1, hdr, 64);
     if (n == 0) return 1;
-    if (n < 64) return 2;
+    if (n < 92) return 2;
     memcpy(&dlen, hdr, 8);
     memcpy(&off, hdr + 8, 8);
     memcpy(&format, hdr + 16, 8);
     memcpy(&textlen, hdr + 24, 8);
-    uint64_t total = 64 + 28 + dlen;
+    /* The header is not authenticated until the decrypt below, so dlen is
+     * checked against the file's real length before it sizes any malloc:
+     * a forged dlen must classify as corrupt, not run the heap dry. */
+    if (n - 92 != dlen) return 2;
+    uint64_t total = n;
     uint8_t* blob = malloc(total);
     n = elide_read_file(1, blob, total);
     if (n != total) return 2;
@@ -255,21 +262,19 @@ uint64_t elide_restore(uint64_t flags) {
     memcpy(&off, mbuf + 8, 8);
     memcpy(&textlen, mbuf + 61, 8);
     format = (mbuf[16] >> 1) & 1;
-    data = malloc(dlen);
+    /* One buffer serves every source: a channel reply (iv|mac|ct) is
+     * decrypted in place into its first dlen bytes, so no staging copy of
+     * the plaintext is made and the single cleanup wipes dlen + 28. */
+    data = malloc(dlen + 28);
     got = 0;
     r = 0;
     if (mbuf[16] & 4) {
         /* Hybrid: the data lives both on the server and in the encrypted
          * local file. Prefer the fresh remote copy; degrade to the local
          * file when the pool cannot move the payload. */
-        uint8_t* hdata = malloc(dlen + 28);
-        n = elide_channel_request(2, hdata, dlen + 28);
-        if (n == dlen) {
-            memcpy(data, hdata, dlen);
-            got = 1;
-        }
-        elide_wipe(hdata, dlen + 28);
-        if (got == 0) elide_report(3);
+        n = elide_channel_request(2, data, dlen + 28);
+        if (n == dlen) got = 1;
+        else elide_report(3);
     }
     if (got == 0) {
         if (mbuf[16] & 1) {
@@ -282,11 +287,8 @@ uint64_t elide_restore(uint64_t flags) {
             }
         } else {
             /* Remote data: fetch the secret bytes over the channel. */
-            uint8_t* edata = malloc(dlen + 28);
-            n = elide_channel_request(2, edata, dlen + 28);
+            n = elide_channel_request(2, data, dlen + 28);
             if (n != dlen) r = 108;
-            if (r == 0) memcpy(data, edata, dlen);
-            elide_wipe(edata, dlen + 28);
         }
     }
     if (r == 0) {
@@ -307,9 +309,10 @@ uint64_t elide_restore(uint64_t flags) {
         }
     }
     /* Single cleanup for every outcome: the restored text now lives only
-     * in the text section, so the staging copy, the metadata blob (which
-     * carries the local-data key/IV/MAC), and the channel key are wiped. */
-    elide_wipe(data, dlen);
+     * in the text section, so the data buffer (plaintext and any channel
+     * reply tail), the metadata blob (which carries the local-data
+     * key/IV/MAC), and the channel key are wiped. */
+    elide_wipe(data, dlen + 28);
     elide_wipe(mbuf, 160);
     elide_wipe(elide_channel_key, 16);
     return r;

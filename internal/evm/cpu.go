@@ -134,6 +134,22 @@ func (m *VM) WriteBytes(addr uint64, b []byte) *Fault {
 	return nil
 }
 
+// ZeroBytes writes n zero bytes at addr with write access, like WriteBytes
+// of a zero buffer but without allocating one.
+func (m *VM) ZeroBytes(addr, n uint64) *Fault {
+	for i := uint64(0); i < n; {
+		chunk := 8
+		if n-i < 8 {
+			chunk = 1
+		}
+		if f := m.Mem.Store(addr+i, chunk, 0); f != nil {
+			return f
+		}
+		i += uint64(chunk)
+	}
+	return nil
+}
+
 // Run executes instructions until the machine halts, exits, or faults.
 func (m *VM) Run() Stop {
 	start := m.Steps

@@ -23,6 +23,7 @@ const (
 	IntrinGetSealKey    = 0x105
 	IntrinECDHKeypair   = 0x106
 	IntrinECDHShared    = 0x107
+	IntrinZeroize       = 0x108
 )
 
 // ReportBlobSize is the serialized size of an sgx.Report as seen by enclave
@@ -263,6 +264,17 @@ func installIntrinsics(e *Enclave) {
 			defer Wipe(key)
 			defer Wipe(privB)
 			if f := m.WriteBytes(arg(2), key); f != nil {
+				return f
+			}
+			setRet(0)
+			return nil
+		},
+
+		// The SDK's memset_s: zeros go through the enclave address space,
+		// so a page without W faults exactly as an enclave store would,
+		// and nothing the compiler sees can elide the writes.
+		IntrinZeroize: func(m *evm.VM) *evm.Fault {
+			if f := m.ZeroBytes(arg(0), arg(1)); f != nil {
 				return f
 			}
 			setRet(0)

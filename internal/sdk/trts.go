@@ -207,6 +207,13 @@ const CryptoSource = `
 	intrin 0x107
 	ret
 .endfunc
+
+; int sgx_zeroize(buf, len) — memset_s(buf, len, 0, len)
+.global sgx_zeroize
+.func sgx_zeroize
+	intrin 0x108
+	ret
+.endfunc
 `
 
 // TlibcSource is the trusted C library (tlibc): the string/memory routines
