@@ -7,13 +7,14 @@ build:
 
 # Tier-1 verification (see ROADMAP.md): formatting, build, vet (stdlib
 # analyzers plus the elide-vet secrecy suite), full tests, the race
-# detector over the transport-heavy packages and the tracer, the restore
+# detector over the transport-heavy packages, the tracer and the
+# interpreter with its EPCM bus, the restore
 # instruction budget, and short-mode chaos and load smoke runs.
 verify: fmt-check build
 	$(GO) vet ./...
 	$(MAKE) vet-security
 	$(GO) test ./...
-	$(GO) test -race ./internal/elide/... ./internal/sdk/...
+	$(GO) test -race ./internal/elide/... ./internal/sdk/... ./internal/evm/... ./internal/sgx/...
 	$(GO) test -race ./internal/obs/...
 	$(MAKE) bench-obs
 	$(MAKE) restore-budget
@@ -44,7 +45,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/elide/... ./internal/sdk/... ./internal/obs/...
+	$(GO) test -race ./internal/elide/... ./internal/sdk/... ./internal/obs/... ./internal/evm/... ./internal/sgx/...
 
 # Restore-cost gate: EVM instructions retired by elide_restore for each
 # of the seven programs in remote- and local-data mode, against the

@@ -49,7 +49,7 @@ func (m *FlatMem) Load(addr uint64, n int) (uint64, *Fault) {
 	if !m.in(addr, n) {
 		return 0, &Fault{Kind: FaultBadAddress, Addr: addr}
 	}
-	return loadLE(m.Data[addr-m.Base:], n), nil
+	return LoadLE(m.Data[addr-m.Base:], n), nil
 }
 
 // Store implements Bus.
@@ -57,7 +57,7 @@ func (m *FlatMem) Store(addr uint64, n int, v uint64) *Fault {
 	if !m.in(addr, n) {
 		return &Fault{Kind: FaultBadAddress, Addr: addr}
 	}
-	storeLE(m.Data[addr-m.Base:], n, v)
+	StoreLE(m.Data[addr-m.Base:], n, v)
 	return nil
 }
 
@@ -81,8 +81,9 @@ func (m *FlatMem) ReadBytes(addr uint64, n int) ([]byte, bool) {
 	return out, true
 }
 
-// loadLE reads an n-byte little-endian value from b.
-func loadLE(b []byte, n int) uint64 {
+// LoadLE reads an n-byte (1, 2, 4 or 8) little-endian value from b, the
+// word access every Bus implementation makes.
+func LoadLE(b []byte, n int) uint64 {
 	switch n {
 	case 1:
 		return uint64(b[0])
@@ -95,8 +96,8 @@ func loadLE(b []byte, n int) uint64 {
 	}
 }
 
-// storeLE writes the low n bytes of v to b little-endian.
-func storeLE(b []byte, n int, v uint64) {
+// StoreLE writes the low n bytes (1, 2, 4 or 8) of v to b little-endian.
+func StoreLE(b []byte, n int, v uint64) {
 	switch n {
 	case 1:
 		b[0] = byte(v)

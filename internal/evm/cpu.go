@@ -64,8 +64,16 @@ type VM struct {
 	Intrinsics map[uint16]Intrinsic
 
 	fetchBuf  [16]byte
+	decoded   Inst          // the last uncached decode
 	versioner CodeVersioner // non-nil when Mem supports icache invalidation
 	cache     icache
+
+	// The icache page of the code page being executed and, while codeVerOK,
+	// that page's generation (see icache.go for when it is re-queried).
+	codeBase  uint64
+	codePage  *icachePage
+	codeVer   uint64
+	codeVerOK bool
 }
 
 // New returns a VM executing against mem. When mem implements CodeVersioner
@@ -87,7 +95,17 @@ func (m *VM) SetSP(v uint64) { m.Reg[RegSP] = v }
 // push pushes v on the stack.
 func (m *VM) push(v uint64) *Fault {
 	m.Reg[RegSP] -= 8
+	m.wrote(m.Reg[RegSP], 8)
 	return m.Mem.Store(m.Reg[RegSP], 8, v)
+}
+
+// wrote notes a store of n bytes at addr. If the store touches the page
+// being executed, that page's generation must be read again; a store to any
+// other page is seen when execution reaches it, as the PC changes page.
+func (m *VM) wrote(addr uint64, n int) {
+	if addr^m.codeBase < icachePageSize || (addr+uint64(n)-1)^m.codeBase < icachePageSize {
+		m.codeVerOK = false
+	}
 }
 
 // pop pops the top of stack.
@@ -112,7 +130,7 @@ func (m *VM) ReadBytes(addr uint64, n int) ([]byte, *Fault) {
 		if f != nil {
 			return nil, f
 		}
-		storeLE(out[i:i+chunk], chunk, v)
+		StoreLE(out[i:i+chunk], chunk, v)
 		i += chunk
 	}
 	return out, nil
@@ -125,7 +143,7 @@ func (m *VM) WriteBytes(addr uint64, b []byte) *Fault {
 		if len(b)-i < 8 {
 			chunk = 1
 		}
-		v := loadLE(b[i:i+chunk], chunk)
+		v := LoadLE(b[i:i+chunk], chunk)
 		if f := m.Mem.Store(addr+uint64(i), chunk, v); f != nil {
 			return f
 		}
@@ -152,12 +170,13 @@ func (m *VM) ZeroBytes(addr, n uint64) *Fault {
 
 // Run executes instructions until the machine halts, exits, or faults.
 func (m *VM) Run() Stop {
+	m.codeVerOK = false
 	start := m.Steps
 	for {
 		if m.MaxSteps != 0 && m.Steps-start >= m.MaxSteps {
 			return Stop{Reason: StopFault, Fault: &Fault{Kind: FaultStep, PC: m.PC}}
 		}
-		stop, done := m.Step()
+		stop, done := m.step()
 		if done {
 			return stop
 		}
@@ -167,16 +186,29 @@ func (m *VM) Run() Stop {
 // Step executes a single instruction. It returns done=true when the machine
 // stopped (halt, exit, or fault); otherwise execution may continue.
 func (m *VM) Step() (Stop, bool) {
+	m.codeVerOK = false
+	return m.step()
+}
+
+// step is Step without forgetting the memoized code generation; Run calls
+// it once that is known to be current.
+func (m *VM) step() (Stop, bool) {
 	pc := m.PC
-	var in Inst
+	var in *Inst
 	var n int
-	var version uint64
-	cached := false
 	if m.versioner != nil {
-		version = m.versioner.CodeVersion(pc)
-		in, n, cached = m.cache.lookup(pc, version)
+		if base := pc &^ uint64(icachePageSize-1); m.codePage == nil || base != m.codeBase {
+			m.codeBase, m.codePage = base, m.cache.page(base)
+			m.codeVerOK = false
+		}
+		if !m.codeVerOK {
+			m.codeVer, m.codeVerOK = m.versioner.CodeVersion(pc), true
+		}
+		if e := m.codePage.lookup(pc, m.codeVer); e != nil {
+			in, n = &e.in, int(e.size)
+		}
 	}
-	if !cached {
+	if in == nil {
 		// Fetch the opcode byte, then the operand bytes.
 		if f := m.Mem.Fetch(pc, m.fetchBuf[:1]); f != nil {
 			return m.fault(f, pc)
@@ -192,12 +224,13 @@ func (m *VM) Step() (Stop, bool) {
 			}
 		}
 		var err error
-		in, _, err = Decode(m.fetchBuf[:n])
+		m.decoded, _, err = Decode(m.fetchBuf[:n])
 		if err != nil {
 			return m.fault(&Fault{Kind: FaultIllegalInst, Msg: err.Error()}, pc)
 		}
+		in = &m.decoded
 		if m.versioner != nil {
-			m.cache.store(pc, version, in, n)
+			m.codePage.store(pc, m.codeVer, in, n)
 		}
 	}
 	m.Steps++
@@ -398,6 +431,7 @@ func (m *VM) Step() (Stop, bool) {
 		default:
 			width = 8
 		}
+		m.wrote(addr, width)
 		if f := m.Mem.Store(addr, width, m.Reg[in.Rd]); f != nil {
 			return m.fault(f, pc)
 		}
@@ -421,7 +455,10 @@ func (m *VM) Step() (Stop, bool) {
 		if fn == nil {
 			return m.fault(&Fault{Kind: FaultIntrinsic, Msg: fmt.Sprintf("unknown intrinsic %d", in.Imm)}, pc)
 		}
-		m.PC = next // intrinsics may inspect/modify PC (none do today)
+		// Intrinsics may inspect or modify PC (none do today), and they
+		// write memory, code included, through the bus.
+		m.PC = next
+		m.codeVerOK = false
 		if f := fn(m); f != nil {
 			return m.fault(f, pc)
 		}

@@ -11,6 +11,21 @@ package evm
 // permissionless FlatMem) simply doesn't implement the interface and the
 // VM interprets uncached — always correct, just slower.
 //
+// The VM does not ask the bus for a generation on every instruction. It
+// memoizes the generation of the page it is executing from and asks again
+// only when
+//
+//   - the PC moves to another page,
+//   - Run (or Step) is entered, since the host may have written memory or
+//     restricted permissions between calls, or
+//   - the instruction just executed may have written that page: an ST*,
+//     PUSH, CALL or CALLR whose bytes touch it, or any INTRIN.
+//
+// That is sound because, within one Run, the running thread is the only
+// writer of the memory it executes: an enclave has one VM, and the host
+// writes enclave memory only between ecalls. A write to another page needs
+// no bookkeeping: its generation is read when the PC arrives there.
+//
 // Per-page generations matter for the restore path: the restorer's memcpy
 // overwrites the whole text section while executing from it. Only the page
 // currently being rewritten has its entries invalidated; the page hosting
@@ -41,19 +56,14 @@ type icachePage struct {
 	entries [icachePageSize]icacheEntry
 }
 
-// icache maps page base addresses to their decoded entries.
+// icache maps page base addresses to their decoded entries. The VM
+// consults it only when execution moves to another page; within a page it
+// holds on to the *icachePage.
 type icache struct {
 	pages map[uint64]*icachePage
-	// One-entry lookaside for the common case of consecutive instructions
-	// on one page.
-	lastBase uint64
-	lastPage *icachePage
 }
 
 func (c *icache) page(base uint64) *icachePage {
-	if c.lastPage != nil && c.lastBase == base {
-		return c.lastPage
-	}
 	if c.pages == nil {
 		c.pages = make(map[uint64]*icachePage)
 	}
@@ -62,26 +72,24 @@ func (c *icache) page(base uint64) *icachePage {
 		pg = &icachePage{}
 		c.pages[base] = pg
 	}
-	c.lastBase, c.lastPage = base, pg
 	return pg
 }
 
-// lookup returns the cached decode at addr, if current for version.
-func (c *icache) lookup(addr, version uint64) (Inst, int, bool) {
-	pg := c.page(addr &^ uint64(icachePageSize-1))
-	e := &pg.entries[addr&(icachePageSize-1)]
+// lookup returns the cached decode at addr, or nil if none is current for
+// version. The entry is returned in place, not copied.
+func (p *icachePage) lookup(addr, version uint64) *icacheEntry {
+	e := &p.entries[addr&(icachePageSize-1)]
 	if e.size == 0 || e.version != version {
-		return Inst{}, 0, false
+		return nil
 	}
-	return e.in, int(e.size), true
+	return e
 }
 
 // store records a decode. Instructions that span a page boundary are not
 // cached (their bytes live on two pages with independent generations).
-func (c *icache) store(addr, version uint64, in Inst, size int) {
+func (p *icachePage) store(addr, version uint64, in *Inst, size int) {
 	if (addr+uint64(size)-1)&^uint64(icachePageSize-1) != addr&^uint64(icachePageSize-1) {
 		return
 	}
-	pg := c.page(addr &^ uint64(icachePageSize-1))
-	pg.entries[addr&(icachePageSize-1)] = icacheEntry{in: in, size: uint8(size), version: version}
+	p.entries[addr&(icachePageSize-1)] = icacheEntry{in: *in, size: uint8(size), version: version}
 }

@@ -104,14 +104,27 @@ func installIntrinsics(e *Enclave) {
 	fail := func(msg string) *evm.Fault {
 		return &evm.Fault{Kind: evm.FaultIntrinsic, Msg: msg}
 	}
+	// length checks an enclave-supplied buffer length before anything is
+	// sized from it: the n bytes at addr must lie in ELRANGE or in
+	// untrusted memory, or the enclave faults as if it had touched them.
+	length := func(addr, n uint64) (int, *evm.Fault) {
+		if !e.Space.Contains(addr, n) {
+			return 0, &evm.Fault{Kind: evm.FaultBadAddress, Addr: addr,
+				Msg: fmt.Sprintf("intrinsic buffer of %d bytes outside enclave and untrusted memory", n)}
+		}
+		return int(n), nil
+	}
 
 	vm.Intrinsics = map[uint16]evm.Intrinsic{
 		IntrinAESGCMEncrypt: func(m *evm.VM) *evm.Fault {
+			n, f := length(arg(1), arg(2))
+			if f != nil {
+				return f
+			}
 			key, f := m.ReadBytes(arg(0), GCMKeySize)
 			if f != nil {
 				return f
 			}
-			n := int(arg(2))
 			src, f := m.ReadBytes(arg(1), n)
 			if f != nil {
 				return f
@@ -137,11 +150,14 @@ func installIntrinsics(e *Enclave) {
 		},
 
 		IntrinAESGCMDecrypt: func(m *evm.VM) *evm.Fault {
+			n, f := length(arg(1), arg(2))
+			if f != nil {
+				return f
+			}
 			key, f := m.ReadBytes(arg(0), GCMKeySize)
 			if f != nil {
 				return f
 			}
-			n := int(arg(2))
 			ct, f := m.ReadBytes(arg(1), n)
 			if f != nil {
 				return f
@@ -169,7 +185,10 @@ func installIntrinsics(e *Enclave) {
 		},
 
 		IntrinReadRand: func(m *evm.VM) *evm.Fault {
-			n := int(arg(1))
+			n, f := length(arg(0), arg(1))
+			if f != nil {
+				return f
+			}
 			buf := make([]byte, n)
 			if _, err := rand.Read(buf); err != nil {
 				return fail("rdrand: " + err.Error())
@@ -182,7 +201,10 @@ func installIntrinsics(e *Enclave) {
 		},
 
 		IntrinSHA256: func(m *evm.VM) *evm.Fault {
-			n := int(arg(1))
+			n, f := length(arg(0), arg(1))
+			if f != nil {
+				return f
+			}
 			src, f := m.ReadBytes(arg(0), n)
 			if f != nil {
 				return f

@@ -2,6 +2,8 @@ package sdk
 
 import (
 	"bytes"
+	"crypto/rand"
+	"crypto/rsa"
 	"testing"
 
 	"sgxelide/internal/evm"
@@ -127,5 +129,84 @@ func TestZeroizeAllocFree(t *testing.T) {
 	}
 	if got := read(t, e, addr, n); !bytes.Equal(got, make([]byte, n)) {
 		t.Fatal("64 KiB zeroize left nonzero bytes")
+	}
+}
+
+// TestZeroizeOverwritesExecutingCode: sgx_zeroize, called from enclave
+// code, zeroes a function on the page that code is running from; calling
+// that function afterwards in the same Run must fault on the zeroed bytes
+// (opcode 0x00 is illegal), not run a decode cached before the wipe.
+func TestZeroizeOverwritesExecutingCode(t *testing.T) {
+	const base = 0x10000000
+	var (
+		movi   = evm.Inst{Op: evm.MOVI, Rd: evm.RegRet, U64: 1}
+		target = []evm.Inst{movi, {Op: evm.RET}}
+		main   = []evm.Inst{
+			{Op: evm.CALL}, // call target: decodes and caches it
+			{Op: evm.LEA, Rd: evm.RegA0},
+			{Op: evm.MOVI, Rd: evm.RegA0 + 1, U64: uint64(movi.Len())},
+			{Op: evm.INTRIN, Imm: IntrinZeroize},
+			{Op: evm.CALL}, // call the wiped target
+			{Op: evm.EEXIT},
+		}
+	)
+	// Place target after main and point the CALLs and the LEA at it.
+	var targetOff int64
+	for _, in := range main {
+		targetOff += int64(in.Len())
+	}
+	var end int64
+	for i := range main {
+		end += int64(main[i].Len())
+		if op := main[i].Op; op == evm.CALL || op == evm.LEA {
+			main[i].Imm = targetOff - end
+		}
+	}
+	page := make([]byte, sgx.PageSize)
+	var code []byte
+	for _, in := range append(main, target...) {
+		code = in.Encode(code)
+	}
+	copy(page, code)
+
+	ca, err := sgx.NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sgx.NewPlatform(sgx.Config{EPCPages: 8}, ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encl, err := p.ECreate(base, sgx.PageSize, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EAdd(encl, base, sgx.PermR|sgx.PermW|sgx.PermX, page); err != nil {
+		t.Fatal(err)
+	}
+	key, err := rsa.GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := sgx.SignEnclave(key, encl.Measure(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EInit(encl, ss); err != nil {
+		t.Fatal(err)
+	}
+	host := NewHost(p)
+	space := &sgx.AddressSpace{Enclave: encl, Untrusted: host.Mem}
+	e := &Enclave{Host: host, Encl: encl, VM: evm.New(space), Space: space}
+	installIntrinsics(e)
+	e.VM.MaxSteps = 1000
+	e.VM.PC = base
+	e.VM.SetSP(host.Alloc(256) + 256)
+
+	stop := e.VM.Run()
+	want := uint64(base + targetOff)
+	if stop.Reason != evm.StopFault || stop.Fault.Kind != evm.FaultIllegalInst || stop.Fault.PC != want {
+		t.Fatalf("call of the wiped function: %v, r0 = %d; want an illegal-instruction fault at %#x",
+			stop, e.VM.Reg[evm.RegRet], want)
 	}
 }

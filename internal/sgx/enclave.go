@@ -3,9 +3,15 @@ package sgx
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 )
+
+// ErrELRangeTooLarge is returned by ECreate for a linear range with more
+// pages than the platform can index. ELRANGE comes from the enclave image,
+// which may be hostile, and the page index costs one slot per page of it.
+var ErrELRangeTooLarge = errors.New("sgx: ECREATE: ELRANGE larger than the EPC")
 
 // Enclave is one enclave instance (SECS + its EPC pages).
 type Enclave struct {
@@ -15,7 +21,9 @@ type Enclave struct {
 	Size  uint64 // ELRANGE size (page aligned)
 	Entry uint64 // single architectural entry point (TCS entry)
 
-	pages map[uint64]*epcPage
+	// pages indexes the EPC pages by ELRANGE page number,
+	// (vaddr-Base)/PageSize; nil slots were never added.
+	pages []*epcPage
 
 	mrHash      hash.Hash // running measurement (SHA-256 chained)
 	MrEnclave   [32]byte  // final measurement, fixed at EINIT
@@ -29,6 +37,16 @@ type Enclave struct {
 	codeVersion uint64
 }
 
+// page returns the EPC page containing vaddr, or nil when vaddr is outside
+// ELRANGE or its page was never added.
+func (e *Enclave) page(vaddr uint64) *epcPage {
+	i := (vaddr - e.Base) / PageSize // wraps for vaddr < Base
+	if i >= uint64(len(e.pages)) {
+		return nil
+	}
+	return e.pages[i]
+}
+
 // Initialized reports whether EINIT has succeeded.
 func (e *Enclave) Initialized() bool { return e.initialized }
 
@@ -38,6 +56,9 @@ func (p *Platform) ECreate(base, size, entry uint64) (*Enclave, error) {
 	if base%PageSize != 0 || size%PageSize != 0 || size == 0 {
 		return nil, fmt.Errorf("sgx: ECREATE: unaligned ELRANGE %#x+%#x", base, size)
 	}
+	if base+size < base || size/PageSize > uint64(p.maxELRangePages()) {
+		return nil, fmt.Errorf("%w: %#x+%#x", ErrELRangeTooLarge, base, size)
+	}
 	if entry < base || entry >= base+size {
 		return nil, fmt.Errorf("sgx: ECREATE: entry %#x outside ELRANGE", entry)
 	}
@@ -46,7 +67,7 @@ func (p *Platform) ECreate(base, size, entry uint64) (*Enclave, error) {
 		Base:     base,
 		Size:     size,
 		Entry:    entry,
-		pages:    make(map[uint64]*epcPage),
+		pages:    make([]*epcPage, size/PageSize),
 		mrHash:   sha256.New(),
 	}
 	var rec [8 + 8 + 8 + 8]byte
@@ -76,7 +97,7 @@ func (p *Platform) EAdd(e *Enclave, vaddr uint64, perm Perm, src []byte) error {
 	if len(src) != PageSize {
 		return fmt.Errorf("sgx: EADD: source must be exactly one page")
 	}
-	if _, dup := e.pages[vaddr]; dup {
+	if e.page(vaddr) != nil {
 		return fmt.Errorf("sgx: EADD: page %#x already added", vaddr)
 	}
 	if perm&PermR == 0 {
@@ -91,7 +112,7 @@ func (p *Platform) EAdd(e *Enclave, vaddr uint64, perm Perm, src []byte) error {
 	pg.perm = perm
 	pg.enclave = e
 	pg.valid = true
-	e.pages[vaddr] = pg
+	e.pages[(vaddr-e.Base)/PageSize] = pg
 
 	var rec [24]byte
 	copy(rec[:], "EADD\x00\x00\x00\x00")
@@ -113,8 +134,8 @@ func (p *Platform) EExtend(e *Enclave, vaddr uint64) error {
 	if vaddr%EExtendChunk != 0 {
 		return fmt.Errorf("sgx: EEXTEND: vaddr %#x not 256-byte aligned", vaddr)
 	}
-	pg, ok := e.pages[vaddr&^uint64(PageSize-1)]
-	if !ok {
+	pg := e.page(vaddr)
+	if pg == nil {
 		return fmt.Errorf("sgx: EEXTEND: no page at %#x", vaddr)
 	}
 	var rec [16]byte
@@ -165,8 +186,8 @@ func (p *Platform) EModPR(e *Enclave, vaddr uint64, perm Perm) error {
 	if !e.initialized {
 		return fmt.Errorf("sgx: EMODPR before EINIT")
 	}
-	pg, ok := e.pages[vaddr&^uint64(PageSize-1)]
-	if !ok {
+	pg := e.page(vaddr)
+	if pg == nil {
 		return fmt.Errorf("sgx: EMODPR: no page at %#x", vaddr)
 	}
 	if perm&^pg.perm != 0 {
@@ -179,8 +200,8 @@ func (p *Platform) EModPR(e *Enclave, vaddr uint64, perm Perm) error {
 
 // PagePerm returns the EPCM permissions of the page containing vaddr.
 func (e *Enclave) PagePerm(vaddr uint64) (Perm, bool) {
-	pg, ok := e.pages[vaddr&^uint64(PageSize-1)]
-	if !ok {
+	pg := e.page(vaddr)
+	if pg == nil {
 		return 0, false
 	}
 	return pg.perm, true
@@ -192,7 +213,9 @@ func (p *Platform) Destroy(e *Enclave) {
 		return
 	}
 	for _, pg := range e.pages {
-		p.freePage(pg)
+		if pg != nil {
+			p.freePage(pg)
+		}
 	}
 	e.pages = nil
 	e.destroyed = true

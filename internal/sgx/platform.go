@@ -69,6 +69,10 @@ type epcPage struct {
 	writeGen uint64
 }
 
+// defaultEPCPages is the EPC of a platform whose Config leaves it unset:
+// 128 MiB, the largest SGX1 processor reserved memory.
+const defaultEPCPages = 32768
+
 // Config controls platform construction.
 type Config struct {
 	EPCPages int  // number of EPC pages; default 32768 (128 MiB)
@@ -92,7 +96,7 @@ type Platform struct {
 // of trust that signs the device attestation key).
 func NewPlatform(cfg Config, ca *CA) (*Platform, error) {
 	if cfg.EPCPages == 0 {
-		cfg.EPCPages = 32768
+		cfg.EPCPages = defaultEPCPages
 	}
 	p := &Platform{cfg: cfg}
 	if _, err := rand.Read(p.fuseKey[:]); err != nil {
@@ -116,6 +120,12 @@ func NewPlatform(cfg Config, ca *CA) (*Platform, error) {
 
 // FreePages returns the number of unallocated EPC pages.
 func (p *Platform) FreePages() int { return p.cfg.EPCPages - p.inUse }
+
+// maxELRangePages bounds the pages of one ELRANGE, and so the slots of its
+// page index: the EPC size, but never below the default (32768 slots,
+// 256 KiB), because an enclave may span more pages than a small EPC holds
+// (real SGX pages the rest out).
+func (p *Platform) maxELRangePages() int { return max(p.cfg.EPCPages, defaultEPCPages) }
 
 // SGX2 reports whether the EMODPR-style extension is enabled.
 func (p *Platform) SGX2() bool { return p.cfg.SGX2 }
@@ -164,8 +174,8 @@ func (p *Platform) HostWrite(e *Enclave, vaddr uint64, data []byte) {}
 // enclave page: the MEE keeps EPC contents encrypted at rest (modeled as
 // AES-CTR under the boot-time MEE key with the page address as nonce).
 func (p *Platform) DumpDRAM(e *Enclave, vaddr uint64) ([]byte, error) {
-	pg, ok := e.pages[vaddr&^uint64(PageSize-1)]
-	if !ok {
+	pg := e.page(vaddr)
+	if pg == nil {
 		return nil, fmt.Errorf("sgx: no EPC page at %#x", vaddr)
 	}
 	return meeEncrypt(p.meeKey, vaddr, pg.data[:]), nil

@@ -11,7 +11,7 @@ import (
 )
 
 // testEnv builds a CA + platform pair.
-func testEnv(t *testing.T, cfg Config) (*CA, *Platform) {
+func testEnv(t testing.TB, cfg Config) (*CA, *Platform) {
 	t.Helper()
 	ca, err := NewCA()
 	if err != nil {
@@ -26,7 +26,7 @@ func testEnv(t *testing.T, cfg Config) (*CA, *Platform) {
 
 // devKey generates a small RSA signing key (1024 bits: fast for tests; the
 // signer tool defaults to 3072).
-func devKey(t *testing.T) *rsa.PrivateKey {
+func devKey(t testing.TB) *rsa.PrivateKey {
 	t.Helper()
 	key, err := rsa.GenerateKey(rand.Reader, 1024)
 	if err != nil {
@@ -43,7 +43,7 @@ const (
 
 // buildEnclave creates, populates, measures, signs, and initializes an
 // enclave with the given page contents.
-func buildEnclave(t *testing.T, p *Platform, key *rsa.PrivateKey, pages map[uint64][]byte, perms map[uint64]Perm) *Enclave {
+func buildEnclave(t testing.TB, p *Platform, key *rsa.PrivateKey, pages map[uint64][]byte, perms map[uint64]Perm) *Enclave {
 	t.Helper()
 	e, err := p.ECreate(base, size, entry)
 	if err != nil {
